@@ -1,8 +1,9 @@
 """Walkthrough: simulating the coding schemes at finite blocklength.
 
 Builds a random codebook, traces one likelihood-encode / bin / decode /
-detect round trip, then runs seeded Monte Carlo trials and checks them
-against the exact brute-force error probabilities.
+detect round trip through the likelihood ``Scheme``, then runs seeded Monte
+Carlo trials of the zero-rate scheme and checks them against its exact error
+probabilities and the brute-force oracle.
 
 Run:  python demos/finite_blocklength.py
 """
@@ -12,21 +13,21 @@ import math
 import numpy as np
 
 from htpriv import instances
-from htpriv.adversary import zero_rate_model
+from htpriv.adversary import exact_errors, scheme_model_for
 from htpriv.oracle import exact_error_probabilities
 from htpriv.probcore import Channel, Pmf, SequenceSample, mutual_information
 from htpriv.regions import attach_channel, zero_rate_exponent
 from htpriv.schemes import (
+    LikelihoodSetup,
+    Message,
     SchemeConfig,
     build_codebook,
-    detect,
-    likelihood_encode,
+    likelihood_scheme,
+    make_scheme,
     min_entropy_decode,
     run_trials,
-    type_index_check,
+    sample_codes,
     unrank_count_matrix,
-    zero_rate_detect,
-    zero_rate_encode,
 )
 
 # ---------------------------------------------------------------------------
@@ -47,22 +48,23 @@ print(f"codebook: {cb.size} codewords of length {n}, "
 rev = Channel((joint_uw / joint_uw.sum(axis=0)[None, :]).T)   # P(U | W)
 rng = np.random.default_rng(1)
 p_uv = pair.p.marginal(("U", "V")).probs
-flat = rng.choice(4, size=n, p=p_uv.ravel())
-u = SequenceSample(flat // 2, 2)
-v = SequenceSample(flat % 2, 2)
+flat = rng.choice(4, size=(1, n), p=p_uv.ravel())
+u, v = flat // 2, flat % 2
 
-m = likelihood_encode(cb, u, rev, delta_prime=0.15, seed=7)
-print(f"message: kind={m.kind}, joint-type index={m.type_index}, "
-      f"bin={m.bin_or_index}")
-if m.kind == "payload":
-    counts = unrank_count_matrix(m.type_index, (2, 2), n)
-    print(f"declared joint type of (u, w):\n{counts}")
-    gate = type_index_check(m, joint_uw, n, delta=0.3)
-    jhat = min_entropy_decode(cb, m, v, delta_hat=0.6)
-    w_hat = cb.codeword(jhat) if jhat is not None else None
-    p_wv = wch.rows.T @ p_uv
-    decision = detect(w_hat, v, m, gate, delta_tilde=0.6, p_wv=p_wv)
-    print(f"type gate={gate}, decoded index={jhat}, decision H^={decision}")
+# delta = 0.3: encoder typicality delta' = 0.15, declared-type gate 0.3,
+# decoder delta_hat = |U| delta = 0.6, detector delta_tilde = 2 delta = 0.6
+scheme = likelihood_scheme(LikelihoodSetup(cb, rev, joint_uw, wch.rows.T @ p_uv),
+                           SchemeConfig(scheme="likelihood", delta=0.3))
+code = sample_codes(scheme.law, u, np.random.default_rng(7).random(1))
+label = scheme.law.label(code[0])
+print(f"message: {label}")
+if label != "error":
+    _, t, _, b = label
+    print(f"declared joint type of (u, w):\n{unrank_count_matrix(t, (2, 2), n)}")
+    jhat = min_entropy_decode(cb, Message("payload", t, b), SequenceSample(v[0], 2),
+                              delta_hat=0.6)
+    decision = 0 if scheme.accepts(code, v)[0] else 1
+    print(f"decoded index={jhat}, decision H^={decision}")
 
 # ---------------------------------------------------------------------------
 # 2. the zero-rate scheme is a single typicality bit
@@ -70,18 +72,20 @@ if m.kind == "payload":
 zr = instances.zero_rate_binary_pair()
 p_u0 = zr.p.marginal_pmf("U")
 p_v0 = Pmf(zr.p.marginal(("U", "V")).probs.sum(axis=0))
-u6 = SequenceSample([1, 0, 1, 1, 0, 1], 2)
-bit = zero_rate_encode(u6, p_u0, delta=0.2)
-print(f"\nzero-rate: sent bit {bit}; "
-      f"decision {zero_rate_detect(bit, u6, p_v0, 0.2)} on a matching block")
+u6 = np.array([[1, 0, 1, 1, 0, 1]])
+bit_scheme = make_scheme(SchemeConfig(scheme="zero_rate", delta=0.2), zr, 6, seed=0)
+codes, probs = bit_scheme.law.pairs(u6)
+bit = int(codes[0][probs[0] == 1.0][0])
+print(f"\nzero-rate: sent {bit_scheme.law.label(bit)!r}; "
+      f"accepts on a matching block: {bool(bit_scheme.accepts(np.array([bit]), u6)[0])}")
 
 # ---------------------------------------------------------------------------
-# 3. Monte Carlo trials vs the exact oracle
+# 3. Monte Carlo trials vs the exact error probabilities
 # ---------------------------------------------------------------------------
 cfg = SchemeConfig(scheme="zero_rate", delta=0.15)
 n = 6
 stats = run_trials(cfg, zr, n, trials=100_000, seed=5)
-model = zero_rate_model(p_u0, n, cfg.delta)
+alpha, beta = exact_errors(make_scheme(cfg, zr, n, seed=5), zr)
 
 
 def accepts(label, vblock):
@@ -91,8 +95,9 @@ def accepts(label, vblock):
     return bool(np.abs(freq - p_v0.probs).max() <= cfg.delta + 1e-15)
 
 
-alpha, beta = exact_error_probabilities(model, accepts, zr, n)
-print(f"\nn={n}, 1e5 trials:")
+oracle = exact_error_probabilities(scheme_model_for(cfg, zr, n, seed=5), accepts, zr, n)
+print(f"\nn={n}, 1e5 trials (brute-force oracle agrees to "
+      f"{max(abs(alpha - oracle[0]), abs(beta - oracle[1])):.1e}):")
 print(f"alpha: exact {alpha:.5f}  estimate {stats.alpha_hat:.5f}  "
       f"95% CI {stats.alpha_interval}")
 print(f"beta:  exact {beta:.5f}  estimate {stats.beta_hat:.5f}  "

@@ -37,16 +37,15 @@ from .regions import (
 from .schemes import (
     Codebook,
     Message,
+    MessageLaw,
+    Scheme,
     SchemeConfig,
     TrialStats,
     build_codebook,
-    detect,
     likelihood_encode,
+    make_scheme,
     min_entropy_decode,
     run_trials,
-    timeshare_encode,
-    zero_rate_detect,
-    zero_rate_encode,
 )
 from .adversary import (
     PrivacyReport,
@@ -54,7 +53,9 @@ from .adversary import (
     counterexample_curve,
     exact_causal_distortion,
     exact_equivocation,
+    exact_errors,
     mc_privacy_estimate,
+    scheme_model_for,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
-"""Exact privacy evaluation at finite blocklength.
+"""Exact evaluation of coding schemes at finite blocklength.
 
-Any scheme expressible as a conditional law of the message given the observed
-block can be audited here: exact block equivocation H(S^n | M, V^n) and the
-Bayes-optimal causal-disclosure distortion, both by enumeration in the
-factored order (u-block first, then message, then marginalize) so memory
-stays at O(|M| |S|^n |V|^n) instead of the full joint.
+A :class:`htpriv.schemes.Scheme` is scattered into a dense message law over
+every u-block (:class:`SchemeModel`), and any such law can be audited here:
+exact block equivocation H(S^n | M, V^n) and the Bayes-optimal
+causal-disclosure distortion, both by enumeration in the factored order
+(u-block first, then message, then marginalize) so memory stays at
+O(|M| |S|^n |V|^n) instead of the full joint.  The exact error
+probabilities of a scheme come from the same law and its acceptance test.
 """
 
 from __future__ import annotations
@@ -15,9 +17,27 @@ from functools import reduce
 
 import numpy as np
 
-from .probcore import Pmf
+from .probcore import (
+    Channel,
+    Pmf,
+    all_sequences,
+    block_index,
+    conditional_entropy,
+    entropy_of_array,
+    inverse_cdf,
+)
 from .regions import HypothesisPair, bayes_estimator
-from .schemes import Codebook, Channel, likelihood_selection_logits
+from .schemes import (
+    Codebook,
+    MessageLaw,
+    Scheme,
+    SchemeConfig,
+    chunk_rows,
+    likelihood_law,
+    make_scheme,
+    timeshare_law,
+    zero_rate_law,
+)
 
 __all__ = [
     "SchemeModel",
@@ -26,6 +46,7 @@ __all__ = [
     "BudgetExceededError",
     "AssumptionViolatedError",
     "all_sequences",
+    "law_model",
     "zero_rate_model",
     "quantize_timeshare_model",
     "likelihood_model",
@@ -33,6 +54,7 @@ __all__ = [
     "full_disclosure_model",
     "message_map_model",
     "scheme_model_for",
+    "exact_errors",
     "exact_equivocation",
     "exact_causal_distortion",
     "mc_privacy_estimate",
@@ -108,49 +130,44 @@ class CounterexamplePoint:
 # model builders
 # ---------------------------------------------------------------------------
 
-def all_sequences(alphabet: int, n: int) -> np.ndarray:
-    """All alphabet^n sequences as an (alphabet^n, n) array; row index is the
-    base-`alphabet` value of the sequence, most significant letter first."""
-    idx = np.arange(alphabet ** n)
-    out = np.empty((alphabet ** n, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        out[:, i] = idx % alphabet
-        idx //= alphabet
-    return out
+def _law_table(law: MessageLaw) -> tuple[SchemeModel, np.ndarray]:
+    """Dense law over every u-block, and the message code of each column.
+
+    The error message is column 0; every other code the law lists, even with
+    probability 0, gets a column in order of first appearance (block by
+    block, pair by pair).
+    """
+    blocks = all_sequences(law.u_size, law.n)
+    parts = [law.pairs(blocks[rows]) for rows in chunk_rows(len(blocks), law.width * law.n)]
+    codes = np.concatenate([c for c, _ in parts]).ravel()
+    probs = np.concatenate([p for _, p in parts]).ravel()
+    uniq, first = np.unique(np.concatenate([[0], codes]), return_index=True)
+    order = np.argsort(first)
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    table = np.zeros((blocks.shape[0], order.size))
+    np.add.at(table, (np.arange(codes.size) // law.width,
+                      column[np.searchsorted(uniq, codes)]), probs)
+    col_codes = uniq[order]
+    model = SchemeModel(law.n, law.u_size, table, tuple(law.label(c) for c in col_codes))
+    return model, col_codes
 
 
-def _typical_mask(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
-    n = seqs.shape[1]
-    freqs = np.stack([(seqs == a).sum(axis=1) for a in range(probs.size)], axis=1) / n
-    return np.abs(freqs - probs[None, :]).max(axis=1) <= delta + 1e-15
+def law_model(law: MessageLaw) -> SchemeModel:
+    """Dense message law of a scheme over every u-block."""
+    return _law_table(law)[0]
 
 
 def zero_rate_model(p_u: Pmf, n: int, delta: float) -> SchemeModel:
-    """M = 1(u typical): messages (error, flag)."""
-    seqs = all_sequences(p_u.support_size, n)
-    typ = _typical_mask(seqs, p_u.probs, delta)
-    law = np.zeros((seqs.shape[0], 2))
-    law[~typ, 0] = 1.0
-    law[typ, 1] = 1.0
-    return SchemeModel(n, p_u.support_size, law, ("error", "typical"))
+    """M = 1(u typical): messages (error, typical)."""
+    return law_model(zero_rate_law(p_u, n, delta))
 
 
 def quantize_timeshare_model(p_u: Pmf, n: int, delta: float,
                              epsilon_star: float) -> SchemeModel:
     """Quantization onto the typical set, time-shared with the error message:
     a typical block is identified exactly with probability 1 - epsilon*."""
-    if not 0.0 <= epsilon_star <= 1.0:
-        raise ValueError(f"epsilon_star={epsilon_star} outside [0, 1]")
-    seqs = all_sequences(p_u.support_size, n)
-    typ = _typical_mask(seqs, p_u.probs, delta)
-    typical_ids = np.flatnonzero(typ)
-    labels = ("error",) + tuple(("seq", int(i)) for i in typical_ids)
-    law = np.zeros((seqs.shape[0], 1 + typical_ids.size))
-    law[:, 0] = 1.0
-    for col, u_idx in enumerate(typical_ids, start=1):
-        law[u_idx, 0] = epsilon_star
-        law[u_idx, col] = 1.0 - epsilon_star
-    return SchemeModel(n, p_u.support_size, law, labels)
+    return law_model(timeshare_law(p_u, n, delta, epsilon_star))
 
 
 def constant_model(u_size: int, n: int) -> SchemeModel:
@@ -182,64 +199,17 @@ def message_map_model(u_size: int, n: int, fn) -> SchemeModel:
     return SchemeModel(n, u_size, law, tuple(labels))
 
 
-def scheme_model_for(config, pair: HypothesisPair, n: int, seed: int) -> SchemeModel:
-    """Exact message law of a configured scheme, matching what the trial
-    runner simulates (same codebook seed for the likelihood scheme)."""
-    from .schemes import likelihood_setup
-
-    order = ("U",) + pair.v_axes
-    p_u = Pmf(pair.p.marginal(order).probs.reshape(pair.u_size(), -1).sum(axis=1))
-    if config.scheme == "zero_rate":
-        return zero_rate_model(p_u, n, config.delta)
-    if config.scheme == "timeshare":
-        return quantize_timeshare_model(p_u, n, config.delta, config.epsilon_star)
-    setup = likelihood_setup(config, pair, n, seed)
-    return likelihood_model(setup.codebook, setup.reverse_channel,
-                            config.delta_prime)
+def scheme_model_for(config: SchemeConfig, pair: HypothesisPair, n: int,
+                     seed: int) -> SchemeModel:
+    """Exact message law of a configured scheme, the one the trial runner
+    simulates (same codebook seed for the likelihood scheme)."""
+    return law_model(make_scheme(config, pair, n, seed).law)
 
 
 def likelihood_model(cb: Codebook, p_u_given_w: Channel,
                      delta_prime: float) -> SchemeModel:
     """Exact message law induced by the likelihood encoder for a fixed codebook."""
-    from .probcore import SequenceSample
-    from .schemes import rank_count_matrix
-
-    p_u = Pmf(cb.p_w.probs @ p_u_given_w.rows)
-    nu = p_u.support_size
-    seqs = all_sequences(nu, cb.n)
-    typ = _typical_mask(seqs, p_u.probs, delta_prime)
-    labels = ["error"]
-    cols: dict = {"error": 0}
-    rows = []
-    for i, s in enumerate(seqs):
-        row: dict = {}
-        if not typ[i]:
-            row[0] = 1.0
-        else:
-            u = SequenceSample(s, nu)
-            logits = likelihood_selection_logits(cb, u, p_u_given_w)
-            finite = np.isfinite(logits)
-            if not finite.any():
-                row[0] = 1.0
-            else:
-                probs = np.zeros(cb.size)
-                sh = logits[finite] - logits[finite].max()
-                probs[finite] = np.exp(sh)
-                probs /= probs.sum()
-                for j in np.flatnonzero(probs > 0):
-                    counts = np.zeros((cb.u_size, cb.p_w.support_size), dtype=np.int64)
-                    np.add.at(counts, (s, cb.codewords[j]), 1)
-                    lab = ("type", rank_count_matrix(counts), "bin", int(cb.bins[j]))
-                    if lab not in cols:
-                        cols[lab] = len(labels)
-                        labels.append(lab)
-                    row[cols[lab]] = row.get(cols[lab], 0.0) + float(probs[j])
-        rows.append(row)
-    law = np.zeros((seqs.shape[0], len(labels)))
-    for i, row in enumerate(rows):
-        for c, p in row.items():
-            law[i, c] = p
-    return SchemeModel(cb.n, nu, law, tuple(labels))
+    return law_model(likelihood_law(cb, p_u_given_w, delta_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +254,6 @@ def _message_block_table(model: SchemeModel, pair: HypothesisPair, hypothesis: i
     return out, ns, nv
 
 
-def _entropy_nats(arr: np.ndarray) -> float:
-    p = arr[arr > 0]
-    return float(-np.dot(p, np.log(p)))
-
-
 def exact_equivocation(model: SchemeModel, pair: HypothesisPair, n: int,
                        hypothesis: int,
                        max_joint_cells: int = DEFAULT_BUDGET) -> float:
@@ -296,9 +261,9 @@ def exact_equivocation(model: SchemeModel, pair: HypothesisPair, n: int,
     if n != model.n:
         raise ValueError(f"n={n} but model was built for n={model.n}")
     table, ns, nv = _message_block_table(model, pair, hypothesis, max_joint_cells)
-    h_all = _entropy_nats(table)
+    h_all = entropy_of_array(table)
     mv = table.reshape(table.shape[0], ns ** n, nv ** n).sum(axis=1)
-    return h_all - _entropy_nats(mv)
+    return h_all - entropy_of_array(mv)
 
 
 def exact_causal_distortion(model: SchemeModel, pair: HypothesisPair, n: int,
@@ -327,6 +292,35 @@ def exact_causal_distortion(model: SchemeModel, pair: HypothesisPair, n: int,
     return total
 
 
+def exact_errors(scheme: Scheme, pair: HypothesisPair,
+                 max_joint_cells: int = DEFAULT_BUDGET) -> tuple[float, float]:
+    """Exact (alpha_n, beta_n) of a scheme, summed over every (u-block,
+    message, v-block) triple of its law and acceptance test."""
+    law = scheme.law
+    n = law.n
+    uv = [pair.uv_law(h) for h in (0, 1)]
+    nu, nv = uv[0].shape
+    if law.u_size != nu:
+        raise ValueError(f"scheme alphabet {law.u_size} != |U| = {nu}")
+    model, codes = _law_table(law)
+    cells = (nu ** n + codes.size) * nv ** n
+    if cells > max_joint_cells:
+        raise BudgetExceededError(
+            f"{cells:.3g} joint cells exceed the budget {max_joint_cells:.3g}"
+        )
+    vblocks = all_sequences(nv, n)
+    nvn = vblocks.shape[0]
+    accept = np.zeros((codes.size, nvn))
+    for rows in chunk_rows(codes.size, nvn * n):
+        part = codes[rows]
+        accept[rows] = scheme.accepts(
+            np.repeat(part, nvn), np.tile(vblocks, (part.size, 1))).reshape(part.size, nvn)
+    accept_given_uv = model.law @ accept                 # (|U|^n, |V|^n)
+    alpha = 1.0 - float((reduce(np.kron, [uv[0]] * n) * accept_given_uv).sum())
+    beta = float((reduce(np.kron, [uv[1]] * n) * accept_given_uv).sum())
+    return alpha, beta
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimates
 # ---------------------------------------------------------------------------
@@ -352,16 +346,10 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
     s_seq = draws // (nu * nv)
     u_seq = (draws // nv) % nu
     v_seq = draws % nv
-    u_idx = np.zeros(trials, dtype=np.int64)
-    v_idx = np.zeros(trials, dtype=np.int64)
-    s_idx = np.zeros(trials, dtype=np.int64)
-    for i in range(n):
-        u_idx = u_idx * nu + u_seq[:, i]
-        v_idx = v_idx * nv + v_seq[:, i]
-        s_idx = s_idx * ns + s_seq[:, i]
-    msgs = np.array([
-        rng.choice(model.num_messages, p=model.law[u]) for u in u_idx
-    ])
+    u_idx = block_index(u_seq, nu)
+    v_idx = block_index(v_seq, nv)
+    s_idx = block_index(s_seq, ns)
+    msgs = inverse_cdf(model.law[u_idx], rng.random(trials))
 
     cells = model.num_messages * (ns ** n) * (nv ** n)
     biased = cells > max_joint_cells
@@ -398,9 +386,7 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
             w = np.ones(k_is)
             for i in range(n):
                 w *= a[s_seq[k, i], us[:, i], v_seq[k, i]] / p_u_letter[us[:, i]]
-            uids = np.zeros(k_is, dtype=np.int64)
-            for i in range(n):
-                uids = uids * nu + us[:, i]
+            uids = block_index(us, nu)
             w_m = w * model.law[uids, msgs[k]]
             num = w_m.sum()
             # denominator: P(m, v^n) estimate via prior over (s, u)
@@ -442,8 +428,6 @@ def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
     equivocation.  For each n, reports the exact type I error and the exact
     per-letter equivocation under the null.
     """
-    from .probcore import conditional_entropy
-
     v_axes = pair.v_axes
     h_suv = conditional_entropy(pair.p, "S", ("U",) + v_axes)
     h_sv = conditional_entropy(pair.p, "S", v_axes)
@@ -451,29 +435,12 @@ def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
         raise AssumptionViolatedError(
             f"need H_P(S|U,V) < H_P(S|V); got {h_suv} >= {h_sv} - 1e-12"
         )
-    order = ("U",) + v_axes
-    p_uv = pair.p.marginal(order).probs.reshape(pair.u_size(), -1)
-    p_u = Pmf(p_uv.sum(axis=1))
-    nu, nv = p_uv.shape
+    config = SchemeConfig("timeshare", delta=delta, epsilon_star=epsilon_star)
     out = []
     for n in n_list:
-        model = quantize_timeshare_model(p_u, n, delta, epsilon_star)
-        # exact type I error: reject unless the kept message is a payload and
-        # the pair is jointly typical at 2*delta
-        useqs = all_sequences(nu, n)
-        vseqs = all_sequences(nv, n)
-        typical_u = _typical_mask(useqs, p_u.probs, delta)
-        pmat = reduce(np.kron, [p_uv] * n)      # (nu^n, nv^n)
-        # joint-type check per (u-block, v-block)
-        u_onehot = np.stack([(useqs == a) for a in range(nu)], axis=0).astype(float)
-        v_onehot = np.stack([(vseqs == b) for b in range(nv)], axis=0).astype(float)
-        ok = np.ones((useqs.shape[0], vseqs.shape[0]), dtype=bool)
-        for a in range(nu):
-            for b in range(nv):
-                counts = u_onehot[a] @ v_onehot[b].T
-                ok &= np.abs(counts / n - p_uv[a, b]) <= 2.0 * delta + 1e-15
-        accept_mass = float((pmat * ok)[typical_u].sum())
-        alpha = 1.0 - (1.0 - epsilon_star) * accept_mass
+        scheme = make_scheme(config, pair, n, seed=0)
+        alpha, _ = exact_errors(scheme, pair, max_joint_cells)
+        model = law_model(scheme.law)
         eq = exact_equivocation(model, pair, n, 0, max_joint_cells) / n
         out.append(CounterexamplePoint(
             n=n, alpha_exact=alpha, equivocation_per_letter=eq,

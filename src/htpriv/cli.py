@@ -27,6 +27,7 @@ from . import adversary, instances, regions, schemes
 from .probcore import (
     JointPmf,
     LN2,
+    Pmf,
     conditional_entropy,
     nats_to_bits,
     pmf_close,
@@ -151,14 +152,10 @@ def _run_frontier(args, params):
 
 def _run_zero_rate(args, params):
     pair = _require_instance(args)
-    order = ("U",) + pair.v_axes
-    q_uv = pair.q.marginal(order)
-    flat_q = JointPmf((("U", pair.u_size()), ("V", int(np.prod([pair.q.axis_size(a) for a in pair.v_axes])))),
-                      q_uv.probs.reshape(pair.u_size(), -1))
-    p_u = pair.p.marginal_pmf("U")
-    p_v_arr = pair.p.marginal(order).probs.reshape(pair.u_size(), -1).sum(axis=0)
-    from .probcore import Pmf
-    exponent = regions.zero_rate_exponent(p_u, Pmf(p_v_arr), flat_q)
+    q_uv = pair.uv_law(1)
+    flat_q = JointPmf((("U", q_uv.shape[0]), ("V", q_uv.shape[1])), q_uv)
+    p_v = Pmf(pair.uv_law(0).sum(axis=0))
+    exponent = regions.zero_rate_exponent(pair.p.marginal_pmf("U"), p_v, flat_q)
     priv = regions.zero_rate_privacy(pair)
     rows = [(
         nats_to_bits(exponent),

@@ -37,6 +37,15 @@ __all__ = [
     "joint_type",
     "empirical_cond_entropy",
     "empirical_pmf",
+    "typical_rows",
+    "inverse_cdf",
+    "block_index",
+    "block_digits",
+    "all_sequences",
+    "entropy_of_array",
+    "kl_of_arrays",
+    "marginal_of_array",
+    "cond_entropy_of_array",
     "pmf_close",
     "nats_to_bits",
     "bits_to_nats",
@@ -143,12 +152,7 @@ class JointPmf:
 
     def marginal_array(self, keep) -> np.ndarray:
         """Marginal tensor over ``keep`` axes, in the order given by ``keep``."""
-        idx = self._resolve(keep)
-        drop = tuple(i for i in range(self.probs.ndim) if i not in idx)
-        m = self.probs.sum(axis=drop)
-        kept_sorted = tuple(sorted(idx))
-        perm = tuple(kept_sorted.index(i) for i in idx)
-        return m.transpose(perm) if perm != tuple(range(len(idx))) else m
+        return marginal_of_array(self.probs, self._resolve(keep))
 
     def marginal(self, keep) -> "JointPmf":
         if isinstance(keep, str):
@@ -168,10 +172,7 @@ class JointPmf:
 
     @classmethod
     def from_json(cls, text: str) -> "JointPmf":
-        rec = json.loads(text)
-        axes = tuple((a["name"], int(a["size"])) for a in rec["axes"])
-        shape = tuple(s for _, s in axes)
-        return cls(axes, np.asarray(rec["probs"], dtype=float).reshape(shape))
+        return cls.from_record(json.loads(text))
 
     @classmethod
     def from_record(cls, rec: dict) -> "JointPmf":
@@ -239,18 +240,43 @@ class SequenceSample:
 # information measures
 # ---------------------------------------------------------------------------
 
-def _entropy_of_array(a: np.ndarray) -> float:
+def marginal_of_array(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Marginal tensor of ``x`` over the axis positions ``axes``, in that order."""
+    drop = tuple(i for i in range(x.ndim) if i not in axes)
+    m = x.sum(axis=drop)
+    kept = tuple(sorted(axes))
+    perm = tuple(kept.index(i) for i in axes)
+    return m.transpose(perm) if perm != tuple(range(len(axes))) else m
+
+
+def entropy_of_array(a: np.ndarray) -> float:
     p = a[a > 0]
     return float(-np.dot(p, np.log(p)))
 
 
+def cond_entropy_of_array(x: np.ndarray, target: tuple[int, ...],
+                          given: tuple[int, ...]) -> float:
+    """H(target | given) of the tensor ``x``, axes given by position."""
+    h_joint = entropy_of_array(marginal_of_array(x, tuple(sorted(target + given))))
+    if not given:
+        return h_joint
+    return h_joint - entropy_of_array(marginal_of_array(x, tuple(sorted(given))))
+
+
+def kl_of_arrays(p: np.ndarray, q: np.ndarray) -> float:
+    """D(p || q) of two same-shape tensors; +inf off absolute continuity."""
+    mask = p > 0
+    if np.any(q[mask] <= 0):
+        return math.inf
+    pm = p[mask]
+    return float(np.dot(pm, np.log(pm) - np.log(q[mask])))
+
+
 def entropy(p) -> float:
     """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
-    if isinstance(p, Pmf):
-        return _entropy_of_array(p.probs)
-    if isinstance(p, JointPmf):
-        return _entropy_of_array(p.probs)
-    return _entropy_of_array(_as_prob_array(p))
+    if isinstance(p, (Pmf, JointPmf)):
+        return entropy_of_array(p.probs)
+    return entropy_of_array(_as_prob_array(p))
 
 
 def kl_divergence(p, q) -> float:
@@ -259,11 +285,7 @@ def kl_divergence(p, q) -> float:
     qa = q.probs if isinstance(q, (Pmf, JointPmf)) else _as_prob_array(q)
     if pa.shape != qa.shape:
         raise SupportMismatchError(f"supports differ: {pa.shape} vs {qa.shape}")
-    mask = pa > 0
-    if np.any(qa[mask] <= 0):
-        return math.inf
-    pm = pa[mask]
-    return float(np.dot(pm, np.log(pm) - np.log(qa[mask])))
+    return kl_of_arrays(pa, qa)
 
 
 def conditional_entropy(j: JointPmf, target, given=()) -> float:
@@ -272,13 +294,7 @@ def conditional_entropy(j: JointPmf, target, given=()) -> float:
     g = j._resolve(given) if given else ()
     if set(t) & set(g):
         raise ValueError("target and given axes must be disjoint")
-    names = j.names
-    both = tuple(names[i] for i in sorted(t + g))
-    h_joint = _entropy_of_array(j.marginal_array(both))
-    if not g:
-        return h_joint
-    h_given = _entropy_of_array(j.marginal_array(tuple(names[i] for i in sorted(g))))
-    return h_joint - h_given
+    return cond_entropy_of_array(j.probs, t, g)
 
 
 def mutual_information(j: JointPmf, a, b) -> float:
@@ -370,6 +386,25 @@ def empirical_pmf(x: SequenceSample) -> Pmf:
     return Pmf(counts / x.n)
 
 
+def typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
+    """Letter-typicality of each sequence along the last axis of ``seqs``:
+    |probs(a) - freq(a)| <= delta for every letter a."""
+    k, n = probs.size, seqs.shape[-1]
+    rows = seqs.reshape(-1, n)
+    counts = np.bincount((rows + k * np.arange(len(rows))[:, None]).ravel(), minlength=k * len(rows))
+    freqs = counts.reshape(seqs.shape[:-1] + (k,)) / n
+    return np.abs(freqs - probs).max(axis=-1) <= delta + 1e-15
+
+
+def inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One index per row of ``probs``, drawn by inverting the row's cdf at the
+    matching uniform in [0, 1); entries of probability 0 are never drawn.
+    From the same uniform this is the draw of ``Generator.choice(p=row)``."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
 def is_typical(x: SequenceSample, p: Pmf, delta: float) -> bool:
     """Letter-typicality: |p(a) - freq(a)| <= delta for every letter a."""
     if delta < 0:
@@ -378,8 +413,7 @@ def is_typical(x: SequenceSample, p: Pmf, delta: float) -> bool:
         raise SupportMismatchError(
             f"alphabet {x.alphabet_size} vs pmf support {p.support_size}"
         )
-    freq = np.bincount(x.symbols, minlength=p.support_size) / x.n
-    return bool(np.abs(p.probs - freq).max() <= delta + 1e-15)
+    return bool(typical_rows(x.symbols, p.probs, delta))
 
 
 def joint_type(x: SequenceSample, y: SequenceSample) -> JointPmf:
@@ -395,3 +429,22 @@ def empirical_cond_entropy(y: SequenceSample, x: SequenceSample) -> float:
     """H_e(y^n | x^n): conditional entropy of the joint type, in nats."""
     jt = joint_type(x, y)
     return conditional_entropy(jt, "Y", "X")
+
+
+def block_index(blocks: np.ndarray, alphabet: int) -> np.ndarray:
+    """Index of each block along the last axis of ``blocks``, as a base-
+    ``alphabet`` number with the first letter most significant."""
+    powers = alphabet ** np.arange(blocks.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return (blocks * powers).sum(axis=-1)
+
+
+def block_digits(index: np.ndarray, alphabet: int, n: int) -> np.ndarray:
+    """Inverse of :func:`block_index`: the (len(index), n) blocks."""
+    powers = alphabet ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.asarray(index, dtype=np.int64)[:, None] // powers % alphabet
+
+
+def all_sequences(alphabet: int, n: int) -> np.ndarray:
+    """All alphabet^n sequences as an (alphabet^n, n) array; row index is the
+    base-`alphabet` value of the sequence, most significant letter first."""
+    return block_digits(np.arange(alphabet ** n), alphabet, n)

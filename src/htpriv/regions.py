@@ -13,7 +13,6 @@ feasibility and the objective independently.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,10 @@ from .probcore import (
     Pmf,
     binary_entropy,
     conditional_entropy,
+    cond_entropy_of_array,
     conditional_mutual_information,
+    kl_of_arrays,
+    marginal_of_array,
     mutual_information,
     pmf_close,
     star,
@@ -107,6 +109,11 @@ class HypothesisPair:
     def law(self, hypothesis: int) -> JointPmf:
         return self.p if hypothesis == 0 else self.q
 
+    def uv_law(self, hypothesis: int) -> np.ndarray:
+        """Joint of (U, V-flat) under one hypothesis, shape (|U|, |V|)."""
+        order = ("U",) + self.v_axes
+        return self.law(hypothesis).marginal(order).probs.reshape(self.u_size(), -1)
+
 
 def attach_channel(joint: JointPmf, channel: Channel, from_axis: str = "U",
                    new_axis: str = "W") -> JointPmf:
@@ -187,33 +194,6 @@ class CouplingSolution:
     multiplier: float                # entropy-constraint multiplier (0 if inactive)
 
 
-def _marginal(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    drop = tuple(i for i in range(x.ndim) if i not in axes)
-    m = x.sum(axis=drop)
-    kept = tuple(sorted(axes))
-    perm = tuple(kept.index(i) for i in axes)
-    return m.transpose(perm) if perm != tuple(range(len(axes))) else m
-
-
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        return math.inf
-    pm = p[mask]
-    return float(np.dot(pm.ravel(), (np.log(pm) - np.log(q[mask])).ravel()))
-
-
-def _cond_entropy(x: np.ndarray, target: tuple[int, ...], given: tuple[int, ...]) -> float:
-    joint = _marginal(x, tuple(sorted(target + given)))
-    h = joint[joint > 0]
-    hj = float(-np.dot(h, np.log(h)))
-    if not given:
-        return hj
-    g = _marginal(x, tuple(sorted(given)))
-    g = g[g > 0]
-    return hj - float(-np.dot(g, np.log(g)))
-
-
 def _expand(arr: np.ndarray, axes: tuple[int, ...], ndim: int, shape) -> np.ndarray:
     # broadcast a marginal tensor (indexed by `axes` in order) over the joint
     order = np.argsort(axes)
@@ -238,7 +218,7 @@ def _ipf(base: np.ndarray, constraints, max_sweeps: int = 20000,
     for sweep in range(max_sweeps):
         worst = 0.0
         for axes, tgt in constraints:
-            cur = _marginal(x, axes)
+            cur = marginal_of_array(x, axes)
             worst = max(worst, float(np.abs(cur - tgt).max()))
             scale = np.divide(tgt, cur, out=np.zeros_like(tgt), where=cur > 0)
             x *= _expand(scale, axes, nd, x.shape)
@@ -246,7 +226,7 @@ def _ipf(base: np.ndarray, constraints, max_sweeps: int = 20000,
             break
     # final residual after the last rescale
     res = max(
-        float(np.abs(_marginal(x, axes) - tgt).max()) for axes, tgt in constraints
+        float(np.abs(marginal_of_array(x, axes) - tgt).max()) for axes, tgt in constraints
     )
     return x, res
 
@@ -265,27 +245,18 @@ def _check_consistency(constraints) -> None:
             common = tuple(a for a in ai if a in aj)
             if not common:
                 continue
-            mi = _marginal_of_target(ti, ai, common)
-            mj = _marginal_of_target(tj, aj, common)
+            mi = marginal_of_array(np.asarray(ti), tuple(ai.index(a) for a in common))
+            mj = marginal_of_array(np.asarray(tj), tuple(aj.index(a) for a in common))
             if np.abs(mi - mj).max() > 1e-9:
                 raise InfeasibleConstraintsError(
                     f"constraints on axes {ai} and {aj} disagree on shared axes {common}"
                 )
 
 
-def _marginal_of_target(tgt: np.ndarray, axes: tuple[int, ...], keep: tuple[int, ...]):
-    pos = tuple(axes.index(a) for a in keep)
-    drop = tuple(i for i in range(len(axes)) if i not in pos)
-    m = np.asarray(tgt).sum(axis=drop)
-    kept = tuple(sorted(pos))
-    perm = tuple(kept.index(p) for p in pos)
-    return m.transpose(perm) if perm != tuple(range(len(pos))) else m
-
-
 def _grad_neg_cond_entropy(x: np.ndarray, target, given) -> np.ndarray:
     """Gradient of -H(target|given) wrt the joint: log x(target|given), broadcast."""
     axes = tuple(sorted(target + given))
-    m = _marginal(x, axes)
+    m = marginal_of_array(x, axes)
     if given:
         gpos = tuple(axes.index(a) for a in given)
         tpos = tuple(i for i in range(len(axes)) if i not in gpos)
@@ -338,13 +309,13 @@ def solve_coupling(problem: CouplingProblem, x0: np.ndarray | None = None,
         x, res = x2, res2
 
     if problem.entropy_floor is None:
-        return CouplingSolution(_kl(x, ref), x, res, 0.0, 0.0)
+        return CouplingSolution(kl_of_arrays(x, ref), x, res, 0.0, 0.0)
 
     target, given, floor = problem.entropy_floor
     target, given = tuple(target), tuple(given)
-    h = _cond_entropy(x, target, given)
+    h = cond_entropy_of_array(x, target, given)
     if h >= floor - tol_entropy:
-        return CouplingSolution(_kl(x, ref), x, res, h - floor, 0.0)
+        return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, 0.0)
 
     sup = ref > 0
     logref = np.where(sup, np.log(np.where(sup, ref, 1.0)), -np.inf)
@@ -352,15 +323,15 @@ def solve_coupling(problem: CouplingProblem, x0: np.ndarray | None = None,
     prev_viol = math.inf
 
     def al_value(xx: np.ndarray, lam: float, mu: float) -> float:
-        phi = floor - _cond_entropy(xx, target, given)
+        phi = floor - cond_entropy_of_array(xx, target, given)
         t_eff = max(0.0, lam + mu * phi)
-        return _kl(xx, ref) + (t_eff * t_eff - lam * lam) / (2.0 * mu)
+        return kl_of_arrays(xx, ref) + (t_eff * t_eff - lam * lam) / (2.0 * mu)
 
     for outer in range(max_outer):
         eta = 1.0
         fx = al_value(x, lam, mu)
         for _ in range(max_inner):
-            phi = floor - _cond_entropy(x, target, given)
+            phi = floor - cond_entropy_of_array(x, target, given)
             t_eff = max(0.0, lam + mu * phi)
             g = t_eff * _grad_neg_cond_entropy(x, target, given)
             with np.errstate(divide="ignore"):
@@ -390,7 +361,7 @@ def solve_coupling(problem: CouplingProblem, x0: np.ndarray | None = None,
                 break
             fx = fn
             eta = min(eta * 2.0, 1e8)
-        phi = floor - _cond_entropy(x, target, given)
+        phi = floor - cond_entropy_of_array(x, target, given)
         lam = max(0.0, lam + mu * phi)
         viol = max(0.0, phi)
         if viol <= tol_entropy:
@@ -400,8 +371,8 @@ def solve_coupling(problem: CouplingProblem, x0: np.ndarray | None = None,
         prev_viol = viol
 
     x, res = _ipf(x, cons, max_sweeps=4000, tol=1e-14)
-    h = _cond_entropy(x, target, given)
-    return CouplingSolution(_kl(x, ref), x, res, h - floor, lam)
+    h = cond_entropy_of_array(x, target, given)
+    return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +402,8 @@ def exponent_e1_solution(pair: HypothesisPair, w_channel: Channel) -> CouplingSo
     channel, over joint laws matching the (U, W) and (V, W) marginals of the null."""
     p_joint, ref, u_ax, v_ax, w_ax = _coupling_frame(pair, w_channel)
     cons = (
-        ((u_ax, w_ax), _marginal(p_joint.probs, (u_ax, w_ax))),
-        (v_ax + (w_ax,), _marginal(p_joint.probs, v_ax + (w_ax,))),
+        ((u_ax, w_ax), marginal_of_array(p_joint.probs, (u_ax, w_ax))),
+        (v_ax + (w_ax,), marginal_of_array(p_joint.probs, v_ax + (w_ax,))),
     )
     return solve_coupling(CouplingProblem(ref, cons))
 
@@ -456,8 +427,8 @@ def exponent_e2_solution(rate: float, pair: HypothesisPair,
     i_uw_given_v = conditional_mutual_information(p_joint, "U", "W", v_names)
     floor = conditional_entropy(p_joint, "W", v_names)
     cons = (
-        ((u_ax, w_ax), _marginal(p_joint.probs, (u_ax, w_ax))),
-        (v_ax, _marginal(p_joint.probs, v_ax)),
+        ((u_ax, w_ax), marginal_of_array(p_joint.probs, (u_ax, w_ax))),
+        (v_ax, marginal_of_array(p_joint.probs, v_ax)),
     )
     sol = solve_coupling(
         CouplingProblem(ref, cons, entropy_floor=((w_ax,), v_ax, floor))
@@ -612,16 +583,6 @@ def _structured_channels(nu: int, nw: int, count: int, pair_grid: int) -> list[n
     return out
 
 
-def _dominates(a: TradeoffPoint, b: TradeoffPoint) -> bool:
-    """a dominates b: lower-or-equal rate, higher-or-equal exponent and
-    privacy0, strictly better in at least one coordinate."""
-    if a.rate > b.rate + 1e-15 or a.exponent < b.exponent - 1e-15 \
-            or a.privacy0 < b.privacy0 - 1e-15:
-        return False
-    return (a.rate < b.rate - 1e-15 or a.exponent > b.exponent + 1e-15
-            or a.privacy0 > b.privacy0 + 1e-15)
-
-
 def pareto_filter(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
     if not points:
         return []
@@ -648,16 +609,6 @@ def pareto_filter(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
         if dup.any():
             keep[i] = keep[i] and not keep[:i][dup].any()
     return [p for p, k in zip(points, keep) if k]
-
-
-def worker_count() -> int:
-    env = os.environ.get("HTPL_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
@@ -718,7 +669,7 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
         out.append(best)
         return out
 
-    # draw every random seed up front so results do not depend on scheduling
+    # structured seeds first, then hill climbs in draw order: this fixes the channel ids
     structured: list[np.ndarray] = []
     random_jobs: list[tuple[np.ndarray, np.ndarray]] = []
     for nw in w_sizes:
@@ -729,16 +680,8 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
             random_jobs.append((rows, rng.random(3)))
 
     candidates: list[TradeoffPoint] = [evaluate(rows) for rows in structured]
-    workers = worker_count()
-    if workers > 1 and len(random_jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for got in pool.map(lambda job: improve(*job), random_jobs):
-                candidates.extend(got)
-    else:
-        for job in random_jobs:
-            candidates.extend(improve(*job))
+    for job in random_jobs:
+        candidates.extend(improve(*job))
 
     front = pareto_filter(candidates)
     return [replace(p, channel_id=f"ch{idx:04d}") for idx, p in enumerate(front)]

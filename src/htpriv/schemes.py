@@ -1,17 +1,20 @@
 """Executable finite-blocklength coding schemes and a seeded trial runner.
 
-Implements the stochastic likelihood encoder with random binning and
-minimum-empirical-entropy decoding, the one-bit typicality scheme for the
-zero-rate regime, and the time-shared quantization encoder used by the
-strong-converse counterexample.  Everything is deterministic given seeds;
-per-trial randomness comes from a splittable generator keyed by
-(seed, hypothesis, trial index).
+Each coding scheme is one :class:`Scheme`: a message law over u-blocks and
+an acceptance test on (message, v-block).  The schemes are the stochastic
+likelihood encoder with random binning and minimum-empirical-entropy
+decoding, the one-bit typicality scheme for the zero-rate regime, and the
+time-shared quantization scheme used by the strong-converse counterexample.
+The Monte Carlo trial runner here, and the exact error probabilities and
+privacy audits in :mod:`htpriv.adversary`, all consume the same ``Scheme``.
+Everything is deterministic given seeds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,28 +22,36 @@ from .probcore import (
     Channel,
     Pmf,
     SequenceSample,
+    block_digits,
+    block_index,
     empirical_cond_entropy,
+    inverse_cdf,
     is_typical,
+    kl_of_arrays,
+    typical_rows,
 )
 from .regions import HypothesisPair
 
 __all__ = [
     "Codebook",
     "Message",
+    "MessageLaw",
+    "Scheme",
     "TrialStats",
     "SchemeConfig",
     "CodebookSizeError",
-    "EncoderDegenerateError",
     "DELTA_DEFAULT",
     "ETA_DEFAULT",
     "build_codebook",
     "likelihood_encode",
     "min_entropy_decode",
-    "detect",
-    "type_index_check",
-    "zero_rate_encode",
-    "zero_rate_detect",
-    "timeshare_encode",
+    "zero_rate_law",
+    "timeshare_law",
+    "likelihood_law",
+    "likelihood_scheme",
+    "make_scheme",
+    "sample_codes",
+    "chunk_rows",
     "run_trials",
     "wilson_interval",
     "rank_count_matrix",
@@ -52,14 +63,11 @@ __all__ = [
 DELTA_DEFAULT = 0.05
 ETA_DEFAULT = 0.05
 MAX_CODEWORDS = 2 ** 24
+CHUNK_CELLS = 2 ** 20          # bound on the cells one vectorised law or detector call sees
 
 
 class CodebookSizeError(ValueError):
     """Requested codebook exceeds the desk-scale size cap."""
-
-
-class EncoderDegenerateError(RuntimeError):
-    """Every codeword has zero likelihood for the observed sequence."""
 
 
 @dataclass(frozen=True)
@@ -116,25 +124,26 @@ ERROR_MESSAGE = Message("error")
 # canonical joint-type indexing
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, cells: int) -> int:
-    if cells == 0:
-        return 1 if total == 0 else 0
-    return math.comb(total + cells - 1, cells - 1)
-
-
-def rank_count_matrix(counts: np.ndarray) -> int:
+def rank_count_matrix(counts: np.ndarray):
     """Lexicographic rank of a nonnegative integer count matrix among all
-    matrices of the same shape and total."""
-    flat = [int(c) for c in np.asarray(counts).ravel()]
-    total = sum(flat)
-    k = len(flat)
-    rank = 0
-    rem = total
-    for i, ci in enumerate(flat[:-1]):
-        for v in range(ci):
-            rank += _compositions(rem - v, k - i - 1)
-        rem -= ci
-    return rank
+    matrices of the same shape and total.
+
+    ``counts`` may carry leading batch axes (the last two index the matrix);
+    then an array of ranks is returned, else an int.
+    """
+    c = np.asarray(counts, dtype=np.int64)
+    flat = c.reshape(c.shape[:-2] + (math.prod(c.shape[-2:]),))
+    k = flat.shape[-1]
+    rem = flat.sum(axis=-1)
+    top = int(rem.max(initial=0)) + k
+    rank = np.zeros(rem.shape, dtype=np.int64)
+    for i in range(k - 1):
+        # sum_{v < c_i} C(rem - v + m - 1, m - 1) = C(rem + m, m) - C(rem - c_i + m, m)
+        m = k - i - 1
+        binom = np.array([math.comb(x, m) for x in range(top + 1)], dtype=np.int64)
+        rank += binom[rem + m] - binom[rem - flat[..., i] + m]
+        rem = rem - flat[..., i]
+    return int(rank) if rank.ndim == 0 else rank
 
 
 def unrank_count_matrix(rank: int, shape: tuple[int, int], total: int) -> np.ndarray:
@@ -146,7 +155,8 @@ def unrank_count_matrix(rank: int, shape: tuple[int, int], total: int) -> np.nda
     for i in range(k - 1):
         v = 0
         while True:
-            block = _compositions(rem - v, k - i - 1)
+            # matrices with v in this cell: compositions of the rest over later cells
+            block = math.comb(rem - v + k - i - 2, k - i - 2)
             if r < block:
                 break
             r -= block
@@ -160,14 +170,8 @@ def unrank_count_matrix(rank: int, shape: tuple[int, int], total: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# codebook and likelihood encoder
+# codebook and decoder
 # ---------------------------------------------------------------------------
-
-def binning_active(mutual_info_uw: float, eta: float, n: int, u_size: int,
-                   w_size: int, rate: float) -> bool:
-    correction = u_size * w_size * math.log(n + 1) / n
-    return mutual_info_uw + eta + correction > rate
-
 
 def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
                    mutual_info_uw: float, u_size: int,
@@ -192,9 +196,8 @@ def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
     m = max(1, math.ceil(m_exact))
     rng = np.random.default_rng(seed)
     codewords = rng.choice(p_w.support_size, size=(m, n), p=p_w.probs)
-    w_size = p_w.support_size
-    if binning_active(mutual_info_uw, eta, n, u_size, w_size, rate):
-        correction = u_size * w_size * math.log(n + 1) / n
+    correction = u_size * p_w.support_size * math.log(n + 1) / n
+    if mutual_info_uw + eta + correction > rate:
         num_bins = max(1, math.ceil(math.exp(n * (rate - correction))))
         bins = rng.integers(0, num_bins, size=m)
         identity = False
@@ -205,52 +208,6 @@ def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
     return Codebook(n=n, eta=eta, rate=rate, p_w=p_w, codewords=codewords,
                     bins=bins, num_bins=num_bins, identity_binning=identity,
                     u_size=u_size, seed=seed)
-
-
-def likelihood_selection_logits(cb: Codebook, u: SequenceSample,
-                                p_u_given_w: Channel) -> np.ndarray:
-    """Log of the unnormalized selection law: sum_i log P(u_i | w_i(j))."""
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(p_u_given_w.rows)       # (|W|, |U|)
-    return log_rows[cb.codewords, u.symbols[None, :]].sum(axis=1)
-
-
-def likelihood_encode(cb: Codebook, u: SequenceSample, p_u_given_w: Channel,
-                      delta_prime: float, seed: int) -> Message:
-    """Stochastic likelihood encoder.
-
-    Atypical inputs yield the error message.  Otherwise codeword j is chosen
-    with probability proportional to the product likelihood of u under
-    codeword j (computed in log domain with max subtraction), and the message
-    carries the canonical joint-type index of (u, w(j)) plus the bin of j.
-    """
-    if u.n != cb.n:
-        raise ValueError(f"sequence length {u.n} != codebook blocklength {cb.n}")
-    p_u = Pmf(cb.p_w.probs @ p_u_given_w.rows)
-    if not is_typical(u, p_u, delta_prime):
-        return ERROR_MESSAGE
-    logits = likelihood_selection_logits(cb, u, p_u_given_w)
-    finite = np.isfinite(logits)
-    if not finite.any():
-        raise EncoderDegenerateError("all codewords have zero likelihood for u")
-    probs = np.zeros(cb.size)
-    shifted = logits[finite] - logits[finite].max()
-    probs[finite] = np.exp(shifted)
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    j = int(rng.choice(cb.size, p=probs))
-    counts = np.zeros((cb.u_size, cb.p_w.support_size), dtype=np.int64)
-    np.add.at(counts, (u.symbols, cb.codewords[j]), 1)
-    t = rank_count_matrix(counts)
-    return Message("payload", type_index=t, bin_or_index=int(cb.bins[j]))
-
-
-def type_index_check(m: Message, p_uw: np.ndarray, n: int, delta: float) -> bool:
-    """Gate on the declared joint type: every empirical entry within delta of p_uw."""
-    if m.kind != "payload":
-        return False
-    counts = unrank_count_matrix(m.type_index, p_uw.shape, n)
-    return bool(np.abs(counts / n - p_uw).max() <= delta + 1e-15)
 
 
 def min_entropy_decode(cb: Codebook, m: Message, v: SequenceSample,
@@ -276,50 +233,148 @@ def min_entropy_decode(cb: Codebook, m: Message, v: SequenceSample,
     return best
 
 
-def detect(w_hat: SequenceSample | None, v: SequenceSample, m: Message,
-           t_check: bool, delta_tilde: float, p_wv: np.ndarray) -> int:
-    """Final decision: accept the null (0) iff the message is a payload, the
-    type gate passed, decoding succeeded, and (w_hat, v) is jointly typical
-    for p_wv at delta_tilde."""
-    if m.kind != "payload" or not t_check or w_hat is None:
-        return 1
-    if w_hat.n != v.n:
-        raise ValueError(f"length mismatch: {w_hat.n} vs {v.n}")
-    counts = np.zeros(p_wv.shape)
-    np.add.at(counts, (w_hat.symbols, v.symbols), 1.0)
-    ok = np.abs(counts / v.n - p_wv).max() <= delta_tilde + 1e-15
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
-# zero-rate and time-sharing schemes
+# schemes: a message law and an acceptance test
 # ---------------------------------------------------------------------------
 
-def zero_rate_encode(u: SequenceSample, p_u: Pmf, delta: float) -> int:
-    """One-bit message: 1 iff the observed sequence is delta-typical."""
-    return 1 if is_typical(u, p_u, delta) else 0
+@dataclass(frozen=True)
+class MessageLaw:
+    """Conditional law of the message given the u-block at blocklength n.
+
+    ``pairs(ublocks)`` maps a (B, n) array of u-blocks to two (B, width)
+    arrays (codes, probs): block b sends message code ``codes[b, k]`` with
+    probability ``probs[b, k]``.  Code 0 is the error message; a listed code
+    with probability 0 still names a message the scheme can send.
+    ``label(code)`` names a message in the audit tables.
+    """
+
+    n: int
+    u_size: int
+    width: int
+    pairs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    label: Callable[[int], object]
 
 
-def zero_rate_detect(bit: int, v: SequenceSample, p_v: Pmf, delta: float) -> int:
-    """Accept the null iff the bit is 1 and the local sequence is typical."""
-    return 0 if (bit == 1 and is_typical(v, p_v, delta)) else 1
+@dataclass(frozen=True)
+class Scheme:
+    """A coding scheme: its message law and a vectorised acceptance test.
+
+    ``accepts(codes, vblocks)`` maps B message codes and a (B, n) array of
+    (flattened) v-blocks to B booleans, True where the detector accepts the
+    null.
+    """
+
+    law: MessageLaw
+    accepts: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def timeshare_encode(base_message, epsilon_star: float, seed: int):
-    """Pass the base message with probability 1 - epsilon*; otherwise emit the
-    error message.  epsilon* = 0 reduces exactly to the base scheme."""
+def chunk_rows(count: int, row_cells: int) -> list[slice]:
+    """Slices of ``count`` rows of ``row_cells`` cells each that bound the
+    memory of one vectorised call."""
+    step = max(1, CHUNK_CELLS // row_cells)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def sample_codes(law: MessageLaw, ublocks: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Draw one message code per u-block by inverting the law's cdf at the
+    given uniforms in [0, 1); pairs of probability 0 are never drawn."""
+    codes, probs = law.pairs(ublocks)
+    return codes[np.arange(len(codes)), inverse_cdf(probs, uniforms)]
+
+
+def zero_rate_law(p_u: Pmf, n: int, delta: float) -> MessageLaw:
+    """One bit: the "typical" message iff the u-block is delta-typical,
+    otherwise the error message."""
+    def pairs(ublocks):
+        typ = typical_rows(ublocks, p_u.probs, delta)
+        codes = np.broadcast_to(np.array([0, 1]), (len(ublocks), 2))
+        return codes, np.stack([~typ, typ], axis=1).astype(float)
+
+    return MessageLaw(n, p_u.support_size, 2, pairs, ("error", "typical").__getitem__)
+
+
+def timeshare_law(p_u: Pmf, n: int, delta: float, epsilon_star: float) -> MessageLaw:
+    """Quantization onto the typical set, time-shared with the error message:
+    a typical block is identified exactly (code 1 + block index) with
+    probability 1 - epsilon*; every other outcome is the error message."""
     if not 0.0 <= epsilon_star <= 1.0:
         raise ValueError(f"epsilon_star={epsilon_star} outside [0, 1]")
-    if epsilon_star == 0.0:
-        return base_message
-    rng = np.random.default_rng(seed)
-    if rng.random() < epsilon_star:
-        return ERROR_MESSAGE if isinstance(base_message, Message) else 0
-    return base_message
+    nu = p_u.support_size
+    if nu ** n >= 2 ** 62:
+        raise ValueError(f"{nu}^{n} blocks exceed the message code range")
+
+    def pairs(ublocks):
+        typ = typical_rows(ublocks, p_u.probs, delta)
+        ident = np.where(typ, 1 + block_index(ublocks, nu), 0)
+        codes = np.stack([np.zeros_like(ident), ident], axis=1)
+        probs = np.stack([np.where(typ, epsilon_star, 1.0),
+                          np.where(typ, 1.0 - epsilon_star, 0.0)], axis=1)
+        return codes, probs
+
+    return MessageLaw(n, nu, 2, pairs,
+                      lambda code: "error" if code == 0 else ("seq", int(code) - 1))
+
+
+def likelihood_law(cb: Codebook, p_u_given_w: Channel, delta_prime: float) -> MessageLaw:
+    """Stochastic likelihood encoder with binning, one pair per codeword.
+
+    Atypical u-blocks, and blocks under which every codeword has zero
+    likelihood, send the error message.  Otherwise codeword j is chosen with
+    probability proportional to the product likelihood of the block under
+    it (log domain, max subtracted), and the message is the canonical
+    joint-type index t of (u, w(j)) with the bin b of j, coded
+    1 + t * num_bins + b.
+    """
+    p_u = Pmf(cb.p_w.probs @ p_u_given_w.rows)
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(p_u_given_w.rows)       # (|W|, |U|)
+    nu, nw = cb.u_size, cb.p_w.support_size
+    types = math.comb(cb.n + nu * nw - 1, nu * nw - 1)
+    if types * cb.num_bins >= 2 ** 62:
+        raise CodebookSizeError("joint types x bins exceed the message code range")
+
+    def pairs(ublocks):
+        count, size = len(ublocks), cb.size
+        codes = np.zeros((count, size), dtype=np.int64)
+        probs = np.zeros((count, size))
+        probs[:, 0] = 1.0
+        rows = np.flatnonzero(typical_rows(ublocks, p_u.probs, delta_prime))
+        # log of the unnormalized selection law, sum_i log P(u_i | w_i(j))
+        logits = log_rows[cb.codewords, ublocks[rows][:, None, :]].sum(axis=-1)
+        live = np.isfinite(logits).any(axis=1)
+        rows, logits = rows[live], logits[live]
+        sel = np.exp(logits - logits.max(axis=1, keepdims=True))
+        sel /= sel.sum(axis=1, keepdims=True)
+        cells = ublocks[rows][:, None, :] * nw + cb.codewords[None, :, :]
+        counts = (cells[..., None] == np.arange(nu * nw)).sum(axis=2)
+        t = rank_count_matrix(counts.reshape(len(rows), size, nu, nw))
+        codes[rows] = np.where(sel > 0, 1 + t * cb.num_bins + cb.bins, 0)
+        probs[rows] = sel
+        return codes, probs
+
+    def label(code):
+        t, b = divmod(int(code) - 1, cb.num_bins)
+        return "error" if code == 0 else ("type", t, "bin", b)
+
+    return MessageLaw(cb.n, nu, cb.size, pairs, label)
+
+
+def likelihood_encode(cb: Codebook, u: SequenceSample, p_u_given_w: Channel,
+                      delta_prime: float, seed: int) -> Message:
+    """One draw of :func:`likelihood_law` for the block ``u``, with the
+    uniform taken from ``np.random.default_rng(seed)``."""
+    if u.n != cb.n:
+        raise ValueError(f"sequence length {u.n} != codebook blocklength {cb.n}")
+    law = likelihood_law(cb, p_u_given_w, delta_prime)
+    label = law.label(sample_codes(law, u.symbols[None, :],
+                                   np.random.default_rng(seed).random(1))[0])
+    if label == "error":
+        return ERROR_MESSAGE
+    return Message("payload", type_index=label[1], bin_or_index=label[3])
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo trial runner
+# configuration and the scheme factory
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -352,6 +407,105 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
+class LikelihoodSetup:
+    """Codebook and derived laws for one likelihood-scheme instantiation."""
+
+    codebook: Codebook
+    reverse_channel: Channel     # P(U | W)
+    p_uw: np.ndarray             # null joint of (U, W)
+    p_wv: np.ndarray             # null joint of (W, V-flat)
+
+
+def likelihood_setup(config: SchemeConfig, pair: HypothesisPair, n: int,
+                     seed: int) -> LikelihoodSetup:
+    chan = config.w_channel
+    if chan is None:
+        chan = Channel(np.eye(pair.u_size()))
+    p_uv = pair.uv_law(0)
+    p_u = Pmf(p_uv.sum(axis=1))
+    p_w = Pmf(p_u.probs @ chan.rows)
+    joint_uw = p_u.probs[:, None] * chan.rows
+    p_w_marg = joint_uw.sum(axis=0)
+    i_uw = kl_of_arrays(joint_uw, p_u.probs[:, None] * p_w_marg[None, :])
+    cb = build_codebook(p_w, n, config.eta, config.rate_nats, seed,
+                        mutual_info_uw=i_uw, u_size=pair.u_size())
+    rev = np.divide(joint_uw.T, p_w_marg[:, None],
+                    out=np.full((chan.output_size, pair.u_size()), np.nan),
+                    where=p_w_marg[:, None] > 0)
+    rev[~np.isfinite(rev).all(axis=1)] = 1.0 / pair.u_size()
+    return LikelihoodSetup(codebook=cb, reverse_channel=Channel(rev),
+                           p_uw=joint_uw, p_wv=chan.rows.T @ p_uv)
+
+
+def likelihood_scheme(setup: LikelihoodSetup, config: SchemeConfig) -> Scheme:
+    """The likelihood scheme on a fixed codebook.  The detector accepts the
+    null iff the message is a payload, its declared joint type is within
+    delta of P_UW, min-entropy decoding in its bin succeeds, and the decoded
+    codeword is jointly delta_tilde-typical with v for P_WV."""
+    cb = setup.codebook
+    law = likelihood_law(cb, setup.reverse_channel, config.delta_prime)
+    n, nv = cb.n, setup.p_wv.shape[1]
+    delta_hat = config.delta_hat(cb.u_size)
+    gate: dict[int, bool] = {}
+    decoded: dict[tuple, bool] = {}
+
+    def accept_one(code: int, vblock: np.ndarray) -> bool:
+        _, t, _, b = law.label(code)
+        if t not in gate:
+            counts = unrank_count_matrix(t, setup.p_uw.shape, n)
+            gate[t] = bool(np.abs(counts / n - setup.p_uw).max() <= config.delta + 1e-15)
+        if not gate[t]:
+            return False
+        key = (b, vblock.tobytes())
+        if key not in decoded:
+            m = Message("payload", type_index=t, bin_or_index=b)
+            j = min_entropy_decode(cb, m, SequenceSample(vblock, nv), delta_hat)
+            decoded[key] = j is not None and bool(typical_rows(
+                cb.codewords[j] * nv + vblock, setup.p_wv.ravel(), config.delta_tilde))
+        return decoded[key]
+
+    def accepts(codes, vblocks):
+        out = np.zeros(len(codes), dtype=bool)
+        for i in np.flatnonzero(codes > 0):
+            out[i] = accept_one(int(codes[i]), vblocks[i])
+        return out
+
+    return Scheme(law, accepts)
+
+
+def make_scheme(config: SchemeConfig, pair: HypothesisPair, n: int, seed: int) -> Scheme:
+    """The configured scheme at blocklength n; ``seed`` draws the likelihood
+    scheme's codebook."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if config.scheme == "likelihood":
+        return likelihood_scheme(likelihood_setup(config, pair, n, seed), config)
+    p_uv = pair.uv_law(0)
+    nu, nv = p_uv.shape
+    p_u = Pmf(p_uv.sum(axis=1))
+    if config.scheme == "zero_rate":
+        p_v = p_uv.sum(axis=0)
+
+        def accepts(codes, vblocks):
+            return (codes == 1) & typical_rows(vblocks, p_v, config.delta)
+
+        return Scheme(zero_rate_law(p_u, n, config.delta), accepts)
+
+    def accepts(codes, vblocks):
+        # the kept message identifies the u-block; accept iff (u, v) is
+        # jointly delta_tilde-typical for the null joint law
+        ublocks = block_digits(np.maximum(codes - 1, 0), nu, n)
+        joint = typical_rows(ublocks * nv + vblocks, p_uv.ravel(), config.delta_tilde)
+        return (codes > 0) & joint
+
+    return Scheme(timeshare_law(p_u, n, config.delta, config.epsilon_star), accepts)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo trial runner
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
 class TrialStats:
     trials: int
     type1_errors: int
@@ -373,159 +527,31 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _trial_rng(seed: int, hypothesis: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(hypothesis, trial))
-    )
-
-
-def _sample_uv(joint_uv: np.ndarray, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    nu, nv = joint_uv.shape
-    flat = rng.choice(nu * nv, size=n, p=joint_uv.ravel())
-    return flat // nv, flat % nv
-
-
 def run_trials(config: SchemeConfig, pair: HypothesisPair, n: int, trials: int,
                seed: int) -> TrialStats:
     """Estimate the two error probabilities of a configured scheme by i.i.d.
-    simulation under each hypothesis.  Deterministic given ``seed``; trials
-    draw independent generators keyed by (seed, hypothesis, trial)."""
+    simulation under each hypothesis.  Deterministic given ``seed``: under
+    hypothesis h one generator keyed by (seed, h) draws every (u, v) block,
+    then one uniform per trial that selects its message."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    order = ("U",) + pair.v_axes
-    p_uv = pair.p.marginal(order).probs.reshape(pair.u_size(), -1)
-    q_uv = pair.q.marginal(order).probs.reshape(pair.u_size(), -1)
-    p_u = Pmf(p_uv.sum(axis=1))
-    p_v = Pmf(p_uv.sum(axis=0))
-
-    if config.scheme == "zero_rate":
-        t1, t2 = _zero_rate_errors(config, p_uv, q_uv, p_u, p_v, n, trials, seed)
-    elif config.scheme == "timeshare":
-        t1, t2 = _timeshare_errors(config, p_uv, q_uv, p_u, n, trials, seed)
-    else:
-        t1, t2 = _likelihood_errors(config, pair, p_uv, q_uv, p_u, n, trials, seed)
-
+    scheme = make_scheme(config, pair, n, seed)
+    accepted = []
+    for hyp in (0, 1):
+        juv = pair.uv_law(hyp)
+        nv = juv.shape[1]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(hyp, 0)))
+        flat = rng.choice(juv.size, size=(trials, n), p=juv.ravel())
+        uniforms = rng.random(trials)
+        count = 0
+        for rows in chunk_rows(trials, scheme.law.width * n):
+            codes = sample_codes(scheme.law, flat[rows] // nv, uniforms[rows])
+            count += int(scheme.accepts(codes, flat[rows] % nv).sum())
+        accepted.append(count)
+    t1, t2 = trials - accepted[0], accepted[1]
     return TrialStats(
         trials=trials, type1_errors=t1, type2_errors=t2,
         alpha_hat=t1 / trials, beta_hat=t2 / trials,
         alpha_interval=wilson_interval(t1, trials),
         beta_interval=wilson_interval(t2, trials),
     )
-
-
-def _typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
-    n = seqs.shape[1]
-    k = probs.size
-    freqs = np.stack([(seqs == a).sum(axis=1) for a in range(k)], axis=1) / n
-    return (np.abs(freqs - probs[None, :]).max(axis=1)) <= delta + 1e-15
-
-
-def _zero_rate_errors(config, p_uv, q_uv, p_u, p_v, n, trials, seed):
-    counts = []
-    for hyp, juv in ((0, p_uv), (1, q_uv)):
-        rng = _trial_rng(seed, hyp, 0)
-        nu, nv = juv.shape
-        flat = rng.choice(nu * nv, size=(trials, n), p=juv.ravel())
-        useq, vseq = flat // nv, flat % nv
-        m = _typical_rows(useq, p_u.probs, config.delta)
-        accept = m & _typical_rows(vseq, p_v.probs, config.delta)
-        counts.append(accept)
-    alpha_errors = int((~counts[0]).sum())
-    beta_errors = int(counts[1].sum())
-    return alpha_errors, beta_errors
-
-
-def _timeshare_errors(config, p_uv, q_uv, p_u, n, trials, seed):
-    # quantization onto the typical set is exact at desk scale, so the decision
-    # reduces to: accept iff the (kept) message is a payload and (u, v) is
-    # jointly typical at delta' > delta
-    delta, eps = config.delta, config.epsilon_star
-    delta_accept = config.delta_tilde
-    counts = []
-    for hyp, juv in ((0, p_uv), (1, q_uv)):
-        rng = _trial_rng(seed, hyp, 0)
-        nu, nv = juv.shape
-        flat = rng.choice(nu * nv, size=(trials, n), p=juv.ravel())
-        useq, vseq = flat // nv, flat % nv
-        typical_u = _typical_rows(useq, p_u.probs, delta)
-        kept = rng.random(trials) >= eps
-        pair_flat = useq * nv + vseq
-        # acceptance always tests against the null joint law
-        joint_typical = _typical_rows(pair_flat, p_uv.ravel(), delta_accept)
-        accept = typical_u & kept & joint_typical
-        counts.append(accept)
-    return int((~counts[0]).sum()), int(counts[1].sum())
-
-
-@dataclass(frozen=True)
-class LikelihoodSetup:
-    """Codebook and derived laws for one likelihood-scheme instantiation."""
-
-    codebook: Codebook
-    reverse_channel: Channel     # P(U | W)
-    p_uw: np.ndarray             # null joint of (U, W)
-    p_wv: np.ndarray             # null joint of (W, V-flat)
-
-
-def likelihood_setup(config: SchemeConfig, pair: HypothesisPair, n: int,
-                     seed: int) -> LikelihoodSetup:
-    chan = config.w_channel
-    if chan is None:
-        chan = Channel(np.eye(pair.u_size()))
-    order = ("U",) + pair.v_axes
-    p_uv = pair.p.marginal(order).probs.reshape(pair.u_size(), -1)
-    p_u = Pmf(p_uv.sum(axis=1))
-    p_w = Pmf(p_u.probs @ chan.rows)
-    joint_uw = p_u.probs[:, None] * chan.rows
-    i_uw = _mi_from_joint(joint_uw)
-    cb = build_codebook(p_w, n, config.eta, config.rate_nats, seed,
-                        mutual_info_uw=i_uw, u_size=pair.u_size())
-    p_w_marg = joint_uw.sum(axis=0)
-    rev = np.divide(joint_uw.T, p_w_marg[:, None],
-                    out=np.full((chan.output_size, pair.u_size()), np.nan),
-                    where=p_w_marg[:, None] > 0)
-    rev[~np.isfinite(rev).all(axis=1)] = 1.0 / pair.u_size()
-    return LikelihoodSetup(codebook=cb, reverse_channel=Channel(rev),
-                           p_uw=joint_uw, p_wv=chan.rows.T @ p_uv)
-
-
-def _likelihood_errors(config, pair, p_uv, q_uv, p_u, n, trials, seed):
-    setup = likelihood_setup(config, pair, n, seed)
-    cb = setup.codebook
-    rev_chan = setup.reverse_channel
-    p_uw_target = setup.p_uw
-    p_wv = setup.p_wv
-    delta_hat = config.delta_hat(pair.u_size())
-
-    errors = [0, 0]
-    for hyp, juv in ((0, p_uv), (1, q_uv)):
-        nu, nv = juv.shape
-        for trial in range(trials):
-            rng = _trial_rng(seed, hyp, trial)
-            usym, vsym = _sample_uv(juv, n, rng)
-            u = SequenceSample(usym, nu)
-            v = SequenceSample(vsym, nv)
-            enc_seed = rng.integers(0, 2 ** 63)
-            m = likelihood_encode(cb, u, rev_chan, config.delta_prime, enc_seed)
-            if m.kind == "payload":
-                gate = type_index_check(m, p_uw_target, n, config.delta)
-                jhat = min_entropy_decode(cb, m, v, delta_hat)
-                w_hat = cb.codeword(jhat) if jhat is not None else None
-                hhat = detect(w_hat, v, m, gate, config.delta_tilde, p_wv)
-            else:
-                hhat = 1
-            if hyp == 0 and hhat == 1:
-                errors[0] += 1
-            elif hyp == 1 and hhat == 0:
-                errors[1] += 1
-    return errors[0], errors[1]
-
-
-def _mi_from_joint(joint: np.ndarray) -> float:
-    pm = joint.sum(axis=1)
-    qm = joint.sum(axis=0)
-    mask = joint > 0
-    outer = pm[:, None] * qm[None, :]
-    return float(np.sum(joint[mask] * (np.log(joint[mask]) - np.log(outer[mask]))))

@@ -11,6 +11,7 @@ from htpriv.adversary import (
     AssumptionViolatedError,
     BudgetExceededError,
     SchemeModel,
+    all_sequences,
     constant_model,
     counterexample_curve,
     exact_causal_distortion,
@@ -231,30 +232,102 @@ class TestZeroRateEquivocationGap:
             assert gaps[1] >= gaps[2] - 1e-12
 
 
-class TestSchemeModelFor:
-    def test_matches_run_trials_error_rates(self):
-        # the exact law of the simulated zero-rate scheme reproduces the same
-        # alpha through the error-probability oracle
-        from htpriv.oracle import exact_error_probabilities
-        from htpriv.schemes import SchemeConfig
-        from htpriv.adversary import scheme_model_for
-        pair = instances.zero_rate_binary_pair()
-        cfg = SchemeConfig(scheme="zero_rate", delta=0.15)
-        n = 4
-        model = scheme_model_for(cfg, pair, n, seed=0)
-        p_v = Pmf(pair.p.marginal(("U", "V")).probs.sum(axis=0))
+def _typical(freq, probs, delta) -> bool:
+    return bool(np.abs(np.asarray(freq) - np.asarray(probs)).max() <= delta + 1e-15)
 
-        def accepts(label, vblock):
-            if label != "typical":
+
+def _acceptance_predicate(cfg, pair, n, seed):
+    """The scheme's detector on message labels, written apart from the
+    program's acceptance tests, for the brute-force oracle."""
+    from htpriv.adversary import all_sequences
+    from htpriv.schemes import likelihood_setup, unrank_count_matrix
+
+    p_uv = pair.p.marginal(("U", "V")).probs
+    nu, nv = p_uv.shape
+    d = cfg.delta
+
+    def joint_freq(a, b, shape):
+        counts = np.zeros(shape)
+        np.add.at(counts, (np.asarray(a), np.asarray(b)), 1.0)
+        return counts / n
+
+    if cfg.scheme == "zero_rate":
+        return lambda label, v: label == "typical" and _typical(
+            np.bincount(v, minlength=nv) / n, p_uv.sum(axis=0), d)
+    if cfg.scheme == "timeshare":
+        ublocks = all_sequences(nu, n)
+        return lambda label, v: label != "error" and _typical(
+            joint_freq(ublocks[label[1]], v, (nu, nv)), p_uv, 2 * d)
+
+    setup = likelihood_setup(cfg, pair, n, seed)
+    cb = setup.codebook
+    nw = cb.p_w.support_size
+
+    def cond_entropy_w_given_v(w, v):
+        joint = joint_freq(w, v, (nw, nv))
+        h = lambda p: -sum(x * math.log(x) for x in np.ravel(p) if x > 0)
+        return h(joint) - h(joint.sum(axis=0))
+
+    def accepts(label, v):
+        if label == "error":
+            return False
+        _, t, _, b = label
+        if not _typical(unrank_count_matrix(t, (nu, nw), n) / n, setup.p_uw, d):
+            return False
+        if cb.identity_binning:
+            j = b
+        else:
+            j, best = None, math.inf
+            for cand in range(cb.size):
+                w = cb.codewords[cand]
+                if cb.bins[cand] != b or not _typical(
+                        np.bincount(w, minlength=nw) / n, cb.p_w.probs, nu * d):
+                    continue
+                h = cond_entropy_w_given_v(w, v)
+                if h < best - 1e-15:
+                    j, best = cand, h
+            if j is None:
                 return False
-            freq = np.bincount(np.asarray(vblock), minlength=2) / n
-            return bool(np.abs(freq - p_v.probs).max() <= 0.15 + 1e-15)
+        return _typical(joint_freq(cb.codewords[j], v, (nw, nv)), setup.p_wv, 2 * d)
 
-        alpha, _ = exact_error_probabilities(model, accepts, pair, n)
-        from htpriv.schemes import run_trials
-        stats = run_trials(cfg, pair, n, 50_000, seed=21)
-        sigma = math.sqrt(max(alpha * (1 - alpha), 1e-12) / stats.trials)
-        assert abs(stats.alpha_hat - alpha) <= 4 * sigma
+    return accepts
+
+
+class TestSchemeModelFor:
+    NOISY = Channel([[0.9, 0.1], [0.1, 0.9]])
+    CASES = {
+        "zero_rate": (instances.zero_rate_binary_pair, dict(scheme="zero_rate", delta=0.15)),
+        "timeshare": (instances.counterexample_pair,
+                      dict(scheme="timeshare", delta=0.2, epsilon_star=0.25)),
+        "likelihood_noisy": (lambda: instances.example1_pair(0.2, 0.0),
+                             dict(scheme="likelihood", delta=0.3, w_channel=NOISY)),
+        # W = U: a typical block no codeword reproduces has all-zero likelihoods
+        "likelihood_identity": (lambda: instances.example1_pair(0.2, 0.0),
+                                dict(scheme="likelihood", delta=0.3)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_run_trials_error_rates(self, case):
+        # one Scheme: its exact (alpha, beta) agree with the brute-force oracle
+        # on its message law, and the trial runner samples the same errors
+        from htpriv.oracle import exact_error_probabilities
+        from htpriv.schemes import SchemeConfig, make_scheme, run_trials
+        from htpriv.adversary import exact_errors, scheme_model_for
+        make_pair, kwargs = self.CASES[case]
+        pair, cfg, n, seed = make_pair(), SchemeConfig(**kwargs), 4, 21
+        scheme = make_scheme(cfg, pair, n, seed)
+        model = scheme_model_for(cfg, pair, n, seed)
+        if case == "likelihood_identity":
+            typical = np.abs(all_sequences(2, n).mean(axis=1) - 0.5) <= cfg.delta_prime
+            assert (model.law[typical, 0] == 1.0).any()
+        exact = exact_errors(scheme, pair)
+        oracle = exact_error_probabilities(
+            model, _acceptance_predicate(cfg, pair, n, seed), pair, n)
+        assert exact == pytest.approx(oracle, abs=1e-12)
+        stats = run_trials(cfg, pair, n, 20_000, seed)
+        for est, p in ((stats.alpha_hat, exact[0]), (stats.beta_hat, exact[1])):
+            sigma = math.sqrt(max(p * (1 - p), 1e-12) / stats.trials)
+            assert abs(est - p) <= 4 * sigma
 
     def test_likelihood_model_seed_matches_setup(self):
         from htpriv.schemes import SchemeConfig, likelihood_setup

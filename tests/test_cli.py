@@ -123,13 +123,16 @@ class TestSimulateAndZeroRate:
         assert 0.0 <= float(stats["alpha_hat"]) <= 1.0
         assert int(stats["trials"]) == 2000
 
-    def test_simulate_privacy_rows(self, tmp_path):
+    @pytest.mark.parametrize("scheme", ["zero_rate", "likelihood"])
+    def test_simulate_privacy_rows(self, tmp_path, scheme):
+        # at n=4 some typical blocks have no codeword of positive likelihood;
+        # the likelihood encoder sends them the error message
         inst = tmp_path / "zr.json"
         instances.save_instance(instances.zero_rate_binary_pair(), str(inst))
         out = tmp_path / "simp.csv"
         rc = main(["run", "--experiment", "simulate", "--instance", str(inst),
                    "--out", str(out), "--seed", "2",
-                   "--param", "scheme=zero_rate", "--param", "n=3",
+                   "--param", f"scheme={scheme}", "--param", "n=4",
                    "--param", "trials=500", "--param", "delta=0.2",
                    "--param", "privacy=exact"])
         assert rc == 0

@@ -6,26 +6,27 @@ import numpy as np
 import pytest
 
 from htpriv import instances
-from htpriv.probcore import Channel, Pmf, SequenceSample, empirical_cond_entropy
+from htpriv.probcore import Channel, JointPmf, Pmf, SequenceSample, empirical_cond_entropy
+from htpriv.regions import HypothesisPair
 from htpriv.schemes import (
     Codebook,
     CodebookSizeError,
-    EncoderDegenerateError,
+    LikelihoodSetup,
     Message,
     SchemeConfig,
     build_codebook,
-    detect,
     likelihood_encode,
-    likelihood_selection_logits,
+    likelihood_law,
+    likelihood_scheme,
+    make_scheme,
     min_entropy_decode,
     rank_count_matrix,
     run_trials,
-    timeshare_encode,
-    type_index_check,
+    sample_codes,
+    timeshare_law,
     unrank_count_matrix,
     wilson_interval,
-    zero_rate_detect,
-    zero_rate_encode,
+    zero_rate_law,
 )
 
 from conftest import MASTER_SEED
@@ -39,6 +40,17 @@ def toy_codebook(codewords, bins=None, p_w=(0.5, 0.5), n=None, u_size=2,
     return Codebook(n=n, eta=0.05, rate=1.0, p_w=Pmf(p_w), codewords=cw,
                     bins=bins, num_bins=int(bins.max()) + 1,
                     identity_binning=identity, u_size=u_size, seed=0)
+
+
+def sent(law, block) -> dict:
+    """The messages a law sends for one block, by label, with their probabilities."""
+    codes, probs = law.pairs(np.asarray([block]))
+    return {law.label(c): p for c, p in zip(codes[0], probs[0]) if p > 0}
+
+
+def uniform_pair() -> HypothesisPair:
+    j = JointPmf((("S", 2), ("U", 2), ("V", 2)), np.full((2, 2, 2), 0.125))
+    return HypothesisPair(j, j)
 
 
 class TestTypeIndexing:
@@ -63,6 +75,14 @@ class TestTypeIndexing:
                 continue
             seen.add(rank_count_matrix(np.array(c).reshape(2, 2)))
         assert seen == set(range(math.comb(3 + 3, 3)))
+
+    def test_batched_ranks_match_single_ranks(self):
+        rng = np.random.default_rng(MASTER_SEED + 1)
+        counts = rng.multinomial(7, np.full(6, 1 / 6), size=(4, 5)).reshape(4, 5, 2, 3)
+        ranks = rank_count_matrix(counts)
+        assert ranks.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            assert ranks[idx] == rank_count_matrix(counts[idx])
 
 
 class TestBuildCodebook:
@@ -128,10 +148,10 @@ class TestLikelihoodEncode:
         cb = toy_codebook([[0, 0], [0, 1]])
         chan = Channel([[0.8, 0.2], [0.4, 0.6]])
         u = SequenceSample([0, 1], 2)
-        logits = likelihood_selection_logits(cb, u, chan)
-        lik = np.exp(logits)
-        np.testing.assert_allclose(lik, [0.8 * 0.2, 0.8 * 0.6], rtol=1e-12)
-        probs = lik / lik.sum()
+        lik = np.array([0.8 * 0.2, 0.8 * 0.6])
+        _, probs = likelihood_law(cb, chan, delta_prime=0.6).pairs(u.symbols[None, :])
+        np.testing.assert_allclose(probs[0], lik / lik.sum(), rtol=1e-12)
+        probs = probs[0]
         # empirical selection frequency over seeds follows those probabilities
         picks = []
         for seed in range(4000):
@@ -142,12 +162,14 @@ class TestLikelihoodEncode:
         sigma = math.sqrt(probs[1] * (1 - probs[1]) / 4000)
         assert abs(freq - probs[1]) < 4 * sigma
 
-    def test_degenerate_encoder_raises(self):
+    def test_degenerate_encoder_sends_error_message(self):
+        # every codeword has zero likelihood: the encoder and its law both
+        # send the error message
         cb = toy_codebook([[0, 0], [0, 0]])
         chan = Channel([[0.0, 1.0], [0.5, 0.5]])  # u=0 impossible under w=0
         u = SequenceSample([0, 0], 2)
-        with pytest.raises(EncoderDegenerateError):
-            likelihood_encode(cb, u, chan, delta_prime=1.0, seed=0)
+        assert likelihood_encode(cb, u, chan, delta_prime=1.0, seed=0).kind == "error"
+        assert sent(likelihood_law(cb, chan, delta_prime=1.0), [0, 0]) == {"error": 1.0}
 
 
 class TestMinEntropyDecode:
@@ -189,68 +211,92 @@ class TestMinEntropyDecode:
 
 
 class TestDetect:
-    P_WV = np.array([[0.5, 0.0], [0.0, 0.5]])
+    """The likelihood scheme's detector on a one-codeword toy codebook."""
+
+    DIAG = np.array([[0.5, 0.0], [0.0, 0.5]])
+    P_WV = DIAG
+    ANTI = np.array([[0.0, 0.5], [0.5, 0.0]])
+
+    def scheme(self, codeword, p_uw, delta):
+        cb = toy_codebook([codeword], bins=[0], identity=True)
+        setup = LikelihoodSetup(cb, Channel(np.eye(2)), p_uw, self.P_WV)
+        return likelihood_scheme(setup, SchemeConfig(scheme="likelihood", delta=delta))
+
+    @staticmethod
+    def accepts(scheme, code, vblock) -> bool:
+        return bool(scheme.accepts(np.array([code]), np.array([vblock]))[0])
+
+    @staticmethod
+    def encode(scheme, ublock) -> int:
+        codes, probs = scheme.law.pairs(np.array([ublock]))
+        (code,) = codes[0][probs[0] == 1.0]
+        return int(code)
 
     def test_error_message_rejects(self):
-        v = SequenceSample([0, 1], 2)
-        assert detect(None, v, Message("error"), True, 0.5, self.P_WV) == 1
+        s = self.scheme([0, 1], self.DIAG, delta=0.25)
+        assert not self.accepts(s, 0, [0, 1])
 
     def test_exact_joint_type_accepts_at_zero(self):
-        w = SequenceSample([0, 1], 2)
-        v = SequenceSample([0, 1], 2)
-        m = Message("payload", type_index=0, bin_or_index=0)
-        assert detect(w, v, m, True, 0.0, self.P_WV) == 0
+        s = self.scheme([0, 1], self.DIAG, delta=0.0)
+        code = self.encode(s, [0, 1])
+        assert s.law.label(code) == ("type", rank_count_matrix(np.eye(2, dtype=int)), "bin", 0)
+        assert self.accepts(s, code, [0, 1])
 
     def test_empirically_independent_pair_rejects(self):
         # P_WV strongly correlated; (w, v) built to look independent
-        w = SequenceSample([0, 0, 1, 1], 2)
-        v = SequenceSample([0, 1, 0, 1], 2)
-        m = Message("payload", type_index=0, bin_or_index=0)
-        assert detect(w, v, m, True, 0.2, self.P_WV) == 1
+        s = self.scheme([0, 0, 1, 1], self.DIAG, delta=0.1)   # delta_tilde = 0.2
+        code = self.encode(s, [0, 0, 1, 1])
+        assert self.accepts(s, code, [0, 0, 1, 1])
+        assert not self.accepts(s, code, [0, 1, 0, 1])
 
     def test_failed_gate_rejects(self):
-        w = SequenceSample([0, 1], 2)
-        v = SequenceSample([0, 1], 2)
-        m = Message("payload", type_index=0, bin_or_index=0)
-        assert detect(w, v, m, False, 0.5, self.P_WV) == 1
+        # same message and (w, v) pair; only the declared-type gate differs
+        code = self.encode(self.scheme([0, 1], self.DIAG, delta=0.25), [0, 1])
+        assert self.accepts(self.scheme([0, 1], self.DIAG, delta=0.25), code, [0, 1])
+        assert not self.accepts(self.scheme([0, 1], self.ANTI, delta=0.25), code, [0, 1])
 
     def test_type_gate_helper(self):
-        counts = np.array([[1, 0], [0, 1]])
-        m = Message("payload", type_index=rank_count_matrix(counts), bin_or_index=0)
-        p_uw = np.array([[0.5, 0.0], [0.0, 0.5]])
-        assert type_index_check(m, p_uw, 2, 0.0)
-        assert not type_index_check(m, np.array([[0.0, 0.5], [0.5, 0.0]]), 2, 0.1)
+        code = self.encode(self.scheme([0, 1], self.DIAG, delta=0.0), [0, 1])
+        assert self.accepts(self.scheme([0, 1], self.DIAG, delta=0.0), code, [0, 1])
+        assert not self.accepts(self.scheme([0, 1], self.ANTI, delta=0.05), code, [0, 1])
 
 
 class TestZeroRateScheme:
     def test_exact_type_sends_flag(self):
-        u = SequenceSample([0, 1, 0, 1], 2)
-        assert zero_rate_encode(u, Pmf([0.5, 0.5]), delta=0.0) == 1
+        law = zero_rate_law(Pmf([0.5, 0.5]), 4, delta=0.0)
+        assert sent(law, [0, 1, 0, 1]) == {"typical": 1.0}
 
     def test_error_bit_forces_reject(self):
-        v = SequenceSample([0, 1], 2)
-        assert zero_rate_detect(0, v, Pmf([0.5, 0.5]), delta=1.0) == 1
+        s = make_scheme(SchemeConfig(scheme="zero_rate", delta=1.0), uniform_pair(), 2, seed=0)
+        v = np.array([[0, 1]])
+        assert s.accepts(np.array([1]), v)[0]
+        assert not s.accepts(np.array([0]), v)[0]
 
     def test_frequency_gap(self):
-        u = SequenceSample([0, 0, 0, 0], 2)
-        assert zero_rate_encode(u, Pmf([0.5, 0.5]), delta=0.1) == 0
+        law = zero_rate_law(Pmf([0.5, 0.5]), 4, delta=0.1)
+        assert sent(law, [0, 0, 0, 0]) == {"error": 1.0}
 
 
 class TestTimeshare:
+    P_U = Pmf([0.5, 0.5])
+
     def test_zero_epsilon_is_identity(self):
-        m = Message("payload", type_index=4, bin_or_index=2)
-        assert timeshare_encode(m, 0.0, seed=0) is m
+        law = timeshare_law(self.P_U, 2, delta=0.0, epsilon_star=0.0)
+        assert sent(law, [0, 1]) == {("seq", 0b01): 1.0}
+        assert sent(law, [1, 1]) == {"error": 1.0}
 
     def test_unit_epsilon_always_error(self):
-        m = Message("payload", type_index=4, bin_or_index=2)
-        for seed in range(20):
-            assert timeshare_encode(m, 1.0, seed=seed).kind == "error"
+        law = timeshare_law(self.P_U, 2, delta=0.0, epsilon_star=1.0)
+        blocks = np.tile([0, 1], (20, 1))
+        uniforms = np.random.default_rng(MASTER_SEED).random(20)
+        assert (sample_codes(law, blocks, uniforms) == 0).all()
 
     def test_error_frequency_binomial(self):
-        m = Message("payload", type_index=0, bin_or_index=0)
-        hits = sum(
-            timeshare_encode(m, 0.2, seed=s).kind == "error" for s in range(100_000)
-        )
+        law = timeshare_law(self.P_U, 2, delta=0.0, epsilon_star=0.2)
+        assert sent(law, [1, 0]) == {"error": 0.2, ("seq", 0b10): 0.8}
+        blocks = np.tile([1, 0], (100_000, 1))
+        uniforms = np.random.default_rng(MASTER_SEED).random(100_000)
+        hits = int((sample_codes(law, blocks, uniforms) == 0).sum())
         assert abs(hits / 100_000 - 0.2) < 0.004
 
 
