@@ -1,19 +1,18 @@
 """Exact evaluation of coding schemes at finite blocklength.
 
 A :class:`htpriv.schemes.Scheme` is scattered into a dense message law over
-every u-block (:class:`SchemeModel`), and any such law can be audited here:
-exact block equivocation H(S^n | M, V^n) and the Bayes-optimal
-causal-disclosure distortion, both by enumeration in the factored order
-(u-block first, then message, then marginalize) so memory stays at
-O(|M| |S|^n |V|^n) instead of the full joint.  The exact error
-probabilities of a scheme come from the same law and its acceptance test.
+every u-block (:class:`SchemeModel`), and any such law can be audited here.
+Each exact quantity is read off one block table P[m, s-block, v-block], made
+by contracting the law with the per-letter law one u-letter at a time: block
+equivocation H(S^n | M, V^n), Bayes-optimal causal-disclosure distortion
+(whose Bayes actions the Monte Carlo estimate looks up) and, with the (U, V)
+letter law, a scheme's exact error probabilities under its acceptance test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .probcore import (
     entropy_of_array,
     inverse_cdf,
 )
-from .regions import HypothesisPair, bayes_estimator
+from .regions import HypothesisPair
 from .schemes import (
     Codebook,
     MessageLaw,
@@ -216,54 +215,80 @@ def likelihood_model(cb: Codebook, p_u_given_w: Channel,
 # exact enumeration
 # ---------------------------------------------------------------------------
 
-def _letter_law(pair: HypothesisPair, hypothesis: int) -> np.ndarray:
-    """Per-letter joint over (S, U, V-flat)."""
-    order = ("S", "U") + pair.v_axes
-    arr = pair.law(hypothesis).marginal(order).probs
-    ns = arr.shape[0]
-    nu = arr.shape[1]
-    return arr.reshape(ns, nu, -1)
+def _letter_law(model: SchemeModel, pair: HypothesisPair, n: int,
+                hypothesis: int) -> np.ndarray:
+    """Per-letter joint over (S, U, V-flat) of one hypothesis, checked
+    against the blocks the model was built for."""
+    if n != model.n:
+        raise ValueError(f"n={n} but model was built for n={model.n}")
+    if model.u_size != pair.u_size():
+        raise ValueError(f"model alphabet {model.u_size} != |U| = {pair.u_size()}")
+    arr = pair.law(hypothesis).marginal(("S", "U") + pair.v_axes).probs
+    return arr.reshape(arr.shape[0], model.u_size, -1)
 
 
-def _message_block_table(model: SchemeModel, pair: HypothesisPair, hypothesis: int,
-                         max_joint_cells: int) -> tuple[np.ndarray, int, int]:
-    """Joint mass table P[m, s-block, v-block], shape (|M|, |S|^n, |V|^n).
-
-    The budget bounds the allocated table; the u-block dimension is folded in
-    by accumulation and never materialized.
-    """
-    a = _letter_law(pair, hypothesis)
-    ns, nu, nv = a.shape
-    n = model.n
-    if model.u_size != nu:
-        raise ValueError(f"model alphabet {model.u_size} != |U| = {nu}")
-    cells = model.num_messages * (ns ** n) * (nv ** n)
+def _check_budget(num_messages: int, letter: np.ndarray, n: int, max_joint_cells: int) -> None:
+    """The budget bounds the cells of the block table of a law."""
+    cells = num_messages * letter[:, 0].size ** n          # |M| |S|^n |V|^n
     if cells > max_joint_cells:
         raise BudgetExceededError(
-            f"{cells:.3g} joint cells exceed the budget {max_joint_cells:.3g}"
-        )
-    useqs = all_sequences(nu, n)
-    out = np.zeros((model.num_messages, (ns ** n) * (nv ** n)))
-    for u_idx in range(useqs.shape[0]):
-        row = model.law[u_idx]
-        nz = np.flatnonzero(row)
-        if nz.size == 0:
-            continue
-        block = reduce(np.kron, (a[:, u, :] for u in useqs[u_idx])).ravel()
-        out[nz] += row[nz, None] * block[None, :]
-    return out, ns, nv
+            f"{cells:.3g} joint cells exceed the budget {max_joint_cells:.3g}")
+
+
+def _block_table(law: np.ndarray, letter: np.ndarray, n: int,
+                 max_joint_cells: int) -> np.ndarray:
+    """Joint mass table P[m, s-block, v-block] = sum_u law[u, m]
+    prod_i letter[s_i, u_i, v_i], shape (|M|, |S|^n, |V|^n), blocks indexed
+    first letter most significant.
+
+    ``law`` is (|U|^n, |M|) and ``letter`` is (|S|, |U|, |V|).  The u-letters
+    are summed out one at a time, last letter first, for a chunk of message
+    columns at a time, so no intermediate holds more than one chunk beside the
+    table.  The budget bounds the table.
+    """
+    ns, nu, nv = letter.shape
+    nm = law.shape[1]
+    _check_budget(nm, letter, n, max_joint_cells)
+    table = np.empty((nm, ns ** n, nv ** n))
+    # per column, a step's input and output hold at most this many cells
+    step_cells = (nu + ns * nv) * max(nu, ns * nv) ** (n - 1)
+    for cols in chunk_rows(nm, step_cells):
+        x = law[:, cols].T
+        c = x.shape[0]
+        for k in range(n, 0, -1):
+            # x[(m, u^{k-1}), u_k, s_{k+1..n}, v_{k+1..n}]
+            x = x.reshape(c * nu ** (k - 1), nu, ns ** (n - k), nv ** (n - k))
+            out = table[cols].reshape(c, ns, ns ** (n - 1), nv, nv ** (n - 1)) if k == 1 else None
+            x = np.einsum("xuSV,sut->xsStV", x, letter, out=out)
+    return table
+
+
+def _causal_bayes(table: np.ndarray, distortion: np.ndarray, n: int):
+    """For each letter i = 1..n, yield (i, action, cost): the Bayes action on
+    S_i given (m, s^{i-1}, v-block), shape (|M|, |S|^(i-1), |V|^n), and its
+    expected distortion summed over those cells."""
+    nm, nsn, nvn = table.shape
+    ns = distortion.shape[0]
+    for i in range(1, n + 1):
+        # the s-block index is first letter most significant, so the prefix
+        # s^{1..i} is its leading digits
+        costs = np.einsum("mpsv,sa->ampv", table.reshape(
+            nm, ns ** (i - 1), ns, nsn // ns ** i, nvn).sum(axis=3), distortion)
+        action, cost = costs.argmin(axis=0), float(costs.min(axis=0).sum())
+        del costs       # the caller's lookups and the next letter run without it
+        yield i, action, cost
 
 
 def exact_equivocation(model: SchemeModel, pair: HypothesisPair, n: int,
                        hypothesis: int,
                        max_joint_cells: int = DEFAULT_BUDGET) -> float:
     """Exact H(S^n | M, V^n) in nats (block total, not per letter)."""
-    if n != model.n:
-        raise ValueError(f"n={n} but model was built for n={model.n}")
-    table, ns, nv = _message_block_table(model, pair, hypothesis, max_joint_cells)
-    h_all = entropy_of_array(table)
-    mv = table.reshape(table.shape[0], ns ** n, nv ** n).sum(axis=1)
-    return h_all - entropy_of_array(mv)
+    letter = _letter_law(model, pair, n, hypothesis)
+    _check_budget(model.num_messages, letter, n, max_joint_cells)
+    # the entropy adds up over messages, so only one chunk of the table is held
+    tables = (_block_table(model.law[:, cols], letter, n, max_joint_cells)
+              for cols in chunk_rows(model.num_messages, letter[:, 0].size ** n))
+    return sum(entropy_of_array(t) - entropy_of_array(t.sum(axis=1)) for t in tables)
 
 
 def exact_causal_distortion(model: SchemeModel, pair: HypothesisPair, n: int,
@@ -274,51 +299,36 @@ def exact_causal_distortion(model: SchemeModel, pair: HypothesisPair, n: int,
     action, and estimator i sees past private letters but not S_i itself."""
     if pair.distortion is None:
         raise ValueError("HypothesisPair has no distortion table")
-    if n != model.n:
-        raise ValueError(f"n={n} but model was built for n={model.n}")
-    table, ns, nv = _message_block_table(model, pair, hypothesis, max_joint_cells)
-    nm = table.shape[0]
-    nvn = nv ** n
-    d = pair.distortion
-    total = 0.0
-    for i in range(1, n + 1):
-        # mass over (m, s^{1..i}, v-block); s-block index is MSB-first so the
-        # prefix s^{1..i} is the leading digits
-        ti = table.reshape(nm, ns ** i, ns ** (n - i), nvn).sum(axis=2)
-        groups = ti.reshape(nm, ns ** (i - 1), ns, nvn)
-        groups = np.moveaxis(groups, 2, 3).reshape(-1, ns)
-        costs = groups @ d
-        total += float(costs.min(axis=1).sum())
-    return total
+    table = _block_table(model.law, _letter_law(model, pair, n, hypothesis), n,
+                         max_joint_cells)
+    return sum(cost for _, _, cost in _causal_bayes(table, pair.distortion, n))
 
 
-def exact_errors(scheme: Scheme, pair: HypothesisPair,
-                 max_joint_cells: int = DEFAULT_BUDGET) -> tuple[float, float]:
-    """Exact (alpha_n, beta_n) of a scheme, summed over every (u-block,
-    message, v-block) triple of its law and acceptance test."""
-    law = scheme.law
-    n = law.n
+def _errors(scheme: Scheme, model: SchemeModel, codes: np.ndarray, pair: HypothesisPair,
+            max_joint_cells: int) -> tuple[float, float]:
+    """Exact (alpha_n, beta_n) of a scheme from its dense law over u-blocks
+    and the message code of each law column."""
+    n = scheme.law.n
     uv = [pair.uv_law(h) for h in (0, 1)]
-    nu, nv = uv[0].shape
-    if law.u_size != nu:
-        raise ValueError(f"scheme alphabet {law.u_size} != |U| = {nu}")
-    model, codes = _law_table(law)
-    cells = (nu ** n + codes.size) * nv ** n
-    if cells > max_joint_cells:
-        raise BudgetExceededError(
-            f"{cells:.3g} joint cells exceed the budget {max_joint_cells:.3g}"
-        )
-    vblocks = all_sequences(nv, n)
+    if model.u_size != uv[0].shape[0]:
+        raise ValueError(f"scheme alphabet {model.u_size} != |U| = {uv[0].shape[0]}")
+    # P_h[m, v-block]: the block table of the (U, V) letter law, S trivial
+    p_mv = [_block_table(model.law, x[None], n, max_joint_cells)[:, 0] for x in uv]
+    vblocks = all_sequences(uv[0].shape[1], n)
     nvn = vblocks.shape[0]
     accept = np.zeros((codes.size, nvn))
     for rows in chunk_rows(codes.size, nvn * n):
         part = codes[rows]
         accept[rows] = scheme.accepts(
             np.repeat(part, nvn), np.tile(vblocks, (part.size, 1))).reshape(part.size, nvn)
-    accept_given_uv = model.law @ accept                 # (|U|^n, |V|^n)
-    alpha = 1.0 - float((reduce(np.kron, [uv[0]] * n) * accept_given_uv).sum())
-    beta = float((reduce(np.kron, [uv[1]] * n) * accept_given_uv).sum())
-    return alpha, beta
+    return 1.0 - float((p_mv[0] * accept).sum()), float((p_mv[1] * accept).sum())
+
+
+def exact_errors(scheme: Scheme, pair: HypothesisPair,
+                 max_joint_cells: int = DEFAULT_BUDGET) -> tuple[float, float]:
+    """Exact (alpha_n, beta_n) of a scheme, summed over every (message,
+    v-block) pair of its law and acceptance test."""
+    return _errors(scheme, *_law_table(scheme.law), pair, max_joint_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +347,9 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    a = _letter_law(model, pair, n, hypothesis)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(hypothesis,)))
-    a = _letter_law(pair, hypothesis)
     ns, nu, nv = a.shape
     flat = a.ravel()
     draws = rng.choice(flat.size, size=(trials, n), p=flat)
@@ -351,36 +361,26 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
     s_idx = block_index(s_seq, ns)
     msgs = inverse_cdf(model.law[u_idx], rng.random(trials))
 
-    cells = model.num_messages * (ns ** n) * (nv ** n)
-    biased = cells > max_joint_cells
+    try:
+        table = _block_table(model.law, a, n, max_joint_cells)
+    except BudgetExceededError:
+        table = None
+    biased = table is None
+    dist_samples = None
     if not biased:
-        table, _, _ = _message_block_table(model, pair, hypothesis, max_joint_cells)
-        tbl = table.reshape(model.num_messages, ns ** n, nv ** n)
-        p_mv = tbl.sum(axis=1)
-        post = tbl[msgs, s_idx, v_idx] / p_mv[msgs, v_idx]
-        eq_samples = -np.log(post)
-        dist_samples = None
+        eq_samples = -np.log(table[msgs, s_idx, v_idx] / table.sum(axis=1)[msgs, v_idx])
         if pair.distortion is not None:
             dist_samples = np.zeros(trials)
             d = pair.distortion
-            for i in range(1, n + 1):
-                ti = tbl.reshape(model.num_messages, ns ** i, ns ** (n - i), nv ** n).sum(axis=2)
-                prefix = s_idx // (ns ** (n - i + 1))
-                cur = (s_idx // (ns ** (n - i))) % ns
-                cond = ti.reshape(model.num_messages, ns ** (i - 1), ns, nv ** n)
-                for k in range(trials):
-                    posterior = cond[msgs[k], prefix[k], :, v_idx[k]]
-                    tot = posterior.sum()
-                    if tot <= 0:
-                        continue
-                    shat, _ = bayes_estimator(posterior / tot, d)
-                    dist_samples[k] += d[cur[k], shat]
+            for i, action, _ in _causal_bayes(table, d, n):
+                prefix = s_idx // ns ** (n - i + 1)
+                cur = s_idx // ns ** (n - i) % ns
+                dist_samples += d[cur, action[msgs, prefix, v_idx]]
     else:
         # importance-sample u-blocks from the letterwise prior
         k_is = 512
         p_u_letter = a.sum(axis=(0, 2)) / a.sum()
-        eq_samples = np.zeros(trials)
-        dist_samples = None  # biased mode reports equivocation only
+        eq_samples = np.zeros(trials)   # biased mode reports equivocation only
         for k in range(trials):
             us = rng.choice(nu, size=(k_is, n), p=p_u_letter)
             w = np.ones(k_is)
@@ -439,8 +439,8 @@ def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
     out = []
     for n in n_list:
         scheme = make_scheme(config, pair, n, seed=0)
-        alpha, _ = exact_errors(scheme, pair, max_joint_cells)
-        model = law_model(scheme.law)
+        model, codes = _law_table(scheme.law)
+        alpha, _ = _errors(scheme, model, codes, pair, max_joint_cells)
         eq = exact_equivocation(model, pair, n, 0, max_joint_cells) / n
         out.append(CounterexamplePoint(
             n=n, alpha_exact=alpha, equivocation_per_letter=eq,

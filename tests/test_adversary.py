@@ -2,6 +2,7 @@
 and the time-sharing counterexample."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from htpriv import instances
 from htpriv.adversary import (
     AssumptionViolatedError,
     BudgetExceededError,
+    PrivacyReport,
     SchemeModel,
+    _block_table,
     all_sequences,
     constant_model,
     counterexample_curve,
@@ -23,11 +26,11 @@ from htpriv.adversary import (
     quantize_timeshare_model,
     zero_rate_model,
 )
-from htpriv.probcore import Channel, JointPmf, Pmf, conditional_entropy
-from htpriv.regions import HypothesisPair
+from htpriv.probcore import Channel, JointPmf, Pmf, block_index, conditional_entropy, inverse_cdf
+from htpriv.regions import HypothesisPair, bayes_estimator
 from htpriv.schemes import build_codebook
 
-from conftest import MASTER_SEED, random_suv_joint
+from conftest import MASTER_SEED, random_joint, random_suv_joint
 
 LN2 = math.log(2.0)
 
@@ -36,6 +39,39 @@ def uniform_independent_pair(ns=2, nu=2, nv=2) -> HypothesisPair:
     probs = np.full((ns, nu, nv), 1.0 / (ns * nu * nv))
     j = JointPmf((("S", ns), ("U", nu), ("V", nv)), probs)
     return HypothesisPair(j, j, distortion=instances.hamming(ns))
+
+
+def random_message_law(rng, rows, messages) -> np.ndarray:
+    return rng.dirichlet(np.ones(messages), size=rows)
+
+
+def kron_block_table(law, letter, n) -> np.ndarray:
+    """Reference P[m, s-block, v-block]: one Kronecker product of the
+    per-letter (S, V) slices per u-block, accumulated over u-blocks."""
+    ns, nu, nv = letter.shape
+    out = np.zeros((law.shape[1], (ns * nv) ** n))
+    for u_idx, useq in enumerate(all_sequences(nu, n)):
+        block = reduce(np.kron, (letter[:, u, :] for u in useq)).ravel()
+        out += law[u_idx][:, None] * block[None, :]
+    return out.reshape(law.shape[1], ns ** n, nv ** n)
+
+
+class TestBlockTable:
+    # (|S|, |U|, |V|): |U| above |S||V|, below it, and a trivial S axis as
+    # in the exact error probabilities
+    @pytest.mark.parametrize("shape", [(2, 5, 2), (3, 2, 2), (1, 3, 2)],
+                             ids=["u_above_sv", "u_below_sv", "trivial_s"])
+    def test_contraction_matches_kronecker_loop(self, shape):
+        rng = np.random.default_rng(MASTER_SEED + 60)
+        pair = HypothesisPair(random_joint(rng, shape, names=("S", "U", "V")),
+                              random_joint(rng, shape, names=("S", "U", "V")))
+        for n in (1, 2, 3, 4):
+            law = random_message_law(rng, shape[1] ** n, 3)
+            for hyp in (0, 1):
+                letter = pair.law(hyp).probs
+                got = _block_table(law, letter, n, max_joint_cells=10 ** 8)
+                np.testing.assert_allclose(got, kron_block_table(law, letter, n),
+                                           rtol=0, atol=1e-12)
 
 
 class TestExactEquivocation:
@@ -157,7 +193,62 @@ class TestLikelihoodModel:
         assert h_suv - 1e-9 <= eq <= h_sv + 1e-9
 
 
+def loop_mc_report(model, pair, n, hypothesis, trials, seed) -> PrivacyReport:
+    """Exact-branch Monte Carlo report with one Bayes estimate per sample and
+    letter: the same draws as the program, the same block table."""
+    letter = pair.law(hypothesis).probs
+    ns, nu, nv = letter.shape
+    nm = model.num_messages
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(hypothesis,)))
+    draws = rng.choice(letter.size, size=(trials, n), p=letter.ravel())
+    s_idx = block_index(draws // (nu * nv), ns)
+    u_idx = block_index(draws // nv % nu, nu)
+    v_idx = block_index(draws % nv, nv)
+    msgs = inverse_cdf(model.law[u_idx], rng.random(trials))
+    table = _block_table(model.law, letter, n, max_joint_cells=10 ** 8)
+    eq = -np.log(table[msgs, s_idx, v_idx] / table.sum(axis=1)[msgs, v_idx])
+    d = pair.distortion
+    dist = np.zeros(trials)
+    for i in range(1, n + 1):
+        ti = table.reshape(nm, ns ** i, ns ** (n - i), nv ** n).sum(axis=2)
+        cond = ti.reshape(nm, ns ** (i - 1), ns, nv ** n)
+        prefix = s_idx // ns ** (n - i + 1)
+        cur = s_idx // ns ** (n - i) % ns
+        for k in range(trials):
+            posterior = cond[msgs[k], prefix[k], :, v_idx[k]]
+            shat, _ = bayes_estimator(posterior / posterior.sum(), d)
+            dist[k] += d[cur[k], shat]
+    se = lambda x: float(x.std(ddof=1) / math.sqrt(trials)) / n
+    return PrivacyReport(n=n, hypothesis=hypothesis,
+                         equivocation_per_letter=float(eq.mean()) / n,
+                         causal_distortion_per_letter=float(dist.mean()) / n,
+                         exact=False, equivocation_stderr=se(eq), distortion_stderr=se(dist))
+
+
 class TestMcEstimate:
+    @pytest.mark.parametrize("distortion", [
+        instances.hamming(3),
+        np.array([[0.0, 1.3, 0.4], [2.0, 0.0, 0.7], [0.5, 0.9, 0.0]]),
+    ], ids=["hamming", "asymmetric"])
+    def test_exact_branch_matches_per_sample_bayes_loop(self, distortion):
+        rng = np.random.default_rng(MASTER_SEED + 58)
+        shape, n = (3, 2, 2), 3
+        pair = HypothesisPair(random_joint(rng, shape, names=("S", "U", "V")),
+                              random_joint(rng, shape, names=("S", "U", "V")),
+                              distortion=distortion)
+        model = SchemeModel(n, 2, random_message_law(rng, 2 ** n, 3), ("a", "b", "c"))
+        for hyp in (0, 1):
+            rep = mc_privacy_estimate(model, pair, n, hyp, trials=300, seed=9)
+            assert rep == loop_mc_report(model, pair, n, hyp, trials=300, seed=9)
+
+    def test_block_length_must_match_model(self):
+        pair = instances.example2_pair()
+        model = message_map_model(4, 4, lambda s: tuple(x % 2 for x in s))
+        for budget in (10 ** 8, 4):        # exact branch, biased branch
+            with pytest.raises(ValueError, match="model was built for n=4"):
+                mc_privacy_estimate(model, pair, 3, 0, trials=50, seed=1,
+                                    max_joint_cells=budget)
+
     def test_matches_exact_within_3_sigma(self):
         rng = np.random.default_rng(MASTER_SEED + 57)
         pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng),
@@ -328,6 +419,27 @@ class TestSchemeModelFor:
         for est, p in ((stats.alpha_hat, exact[0]), (stats.beta_hat, exact[1])):
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / stats.trials)
             assert abs(est - p) <= 4 * sigma
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(scheme="zero_rate", delta=0.5),
+        dict(scheme="timeshare", delta=0.5, epsilon_star=0.25),
+        dict(scheme="likelihood", delta=0.9, w_channel=NOISY),
+    ], ids=["zero_rate", "timeshare", "likelihood"])
+    def test_single_letter_errors_match_oracle(self, kwargs):
+        # an unbalanced U marginal, so at n=1 one letter is typical and the
+        # other is not (the shipped instances make every letter atypical)
+        from htpriv.oracle import exact_error_probabilities
+        from htpriv.schemes import SchemeConfig, make_scheme
+        from htpriv.adversary import exact_errors, law_model
+        rng = np.random.default_rng(MASTER_SEED + 61)
+        pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng))
+        cfg = SchemeConfig(**kwargs)
+        scheme = make_scheme(cfg, pair, 1, 21)
+        exact = exact_errors(scheme, pair)
+        assert abs(exact[0] + exact[1] - 1) > 0.05       # alpha and beta are told apart
+        oracle = exact_error_probabilities(
+            law_model(scheme.law), _acceptance_predicate(cfg, pair, 1, 21), pair, 1)
+        assert exact == pytest.approx(oracle, abs=1e-12)
 
     def test_likelihood_model_seed_matches_setup(self):
         from htpriv.schemes import SchemeConfig, likelihood_setup
