@@ -2,11 +2,12 @@
 
 A :class:`htpriv.schemes.Scheme` is scattered into a dense message law over
 every u-block (:class:`SchemeModel`), and any such law can be audited here.
-Each exact quantity is read off one block table P[m, s-block, v-block], made
+Each exact quantity is read off the block table P[m, s-block, v-block], made
 by contracting the law with the per-letter law one u-letter at a time: block
 equivocation H(S^n | M, V^n), Bayes-optimal causal-disclosure distortion
 (whose Bayes actions the Monte Carlo estimate looks up) and, with the (U, V)
 letter law, a scheme's exact error probabilities under its acceptance test.
+The privacy audits stream the table one chunk of messages at a time.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _block_table(law: np.ndarray, letter: np.ndarray, n: int,
     ``law`` is (|U|^n, |M|) and ``letter`` is (|S|, |U|, |V|).  The u-letters
     are summed out one at a time, last letter first, for a chunk of message
     columns at a time, so no intermediate holds more than one chunk beside the
-    table.  The budget bounds the table.
+    table.  The budget bounds the table; the privacy audits stream it by chunks.
     """
     ns, nu, nv = letter.shape
     nm = law.shape[1]
@@ -263,10 +264,19 @@ def _block_table(law: np.ndarray, letter: np.ndarray, n: int,
     return table
 
 
+def _block_tables(law: np.ndarray, letter: np.ndarray, n: int, max_joint_cells: int):
+    """Check the budget of the whole table, then lazily yield (cols, P[cols])
+    for one chunk of message columns (at most ``CHUNK_CELLS`` cells) at a time."""
+    _check_budget(law.shape[1], letter, n, max_joint_cells)
+    return ((cols, _block_table(law[:, cols], letter, n, max_joint_cells))
+            for cols in chunk_rows(law.shape[1], letter[:, 0].size ** n))
+
+
 def _causal_bayes(table: np.ndarray, distortion: np.ndarray, n: int):
     """For each letter i = 1..n, yield (i, action, cost): the Bayes action on
     S_i given (m, s^{i-1}, v-block), shape (|M|, |S|^(i-1), |V|^n), and its
-    expected distortion summed over those cells."""
+    expected distortion summed over those cells.  A message's actions depend
+    on its own cells only, so the costs of chunks of messages add up."""
     nm, nsn, nvn = table.shape
     ns = distortion.shape[0]
     for i in range(1, n + 1):
@@ -283,12 +293,9 @@ def exact_equivocation(model: SchemeModel, pair: HypothesisPair, n: int,
                        hypothesis: int,
                        max_joint_cells: int = DEFAULT_BUDGET) -> float:
     """Exact H(S^n | M, V^n) in nats (block total, not per letter)."""
-    letter = _letter_law(model, pair, n, hypothesis)
-    _check_budget(model.num_messages, letter, n, max_joint_cells)
-    # the entropy adds up over messages, so only one chunk of the table is held
-    tables = (_block_table(model.law[:, cols], letter, n, max_joint_cells)
-              for cols in chunk_rows(model.num_messages, letter[:, 0].size ** n))
-    return sum(entropy_of_array(t) - entropy_of_array(t.sum(axis=1)) for t in tables)
+    tables = _block_tables(model.law, _letter_law(model, pair, n, hypothesis), n,
+                           max_joint_cells)
+    return sum(entropy_of_array(t) - entropy_of_array(t.sum(axis=1)) for _, t in tables)
 
 
 def exact_causal_distortion(model: SchemeModel, pair: HypothesisPair, n: int,
@@ -299,9 +306,9 @@ def exact_causal_distortion(model: SchemeModel, pair: HypothesisPair, n: int,
     action, and estimator i sees past private letters but not S_i itself."""
     if pair.distortion is None:
         raise ValueError("HypothesisPair has no distortion table")
-    table = _block_table(model.law, _letter_law(model, pair, n, hypothesis), n,
-                         max_joint_cells)
-    return sum(cost for _, _, cost in _causal_bayes(table, pair.distortion, n))
+    tables = _block_tables(model.law, _letter_law(model, pair, n, hypothesis), n,
+                           max_joint_cells)
+    return sum(cost for _, t in tables for _, _, cost in _causal_bayes(t, pair.distortion, n))
 
 
 def _errors(scheme: Scheme, model: SchemeModel, codes: np.ndarray, pair: HypothesisPair,
@@ -362,20 +369,23 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
     msgs = inverse_cdf(model.law[u_idx], rng.random(trials))
 
     try:
-        table = _block_table(model.law, a, n, max_joint_cells)
+        tables = _block_tables(model.law, a, n, max_joint_cells)
     except BudgetExceededError:
-        table = None
-    biased = table is None
-    dist_samples = None
+        tables = None
+    biased = tables is None
+    d = pair.distortion
+    dist_samples = None if biased or d is None else np.zeros(trials)
     if not biased:
-        eq_samples = -np.log(table[msgs, s_idx, v_idx] / table.sum(axis=1)[msgs, v_idx])
-        if pair.distortion is not None:
-            dist_samples = np.zeros(trials)
-            d = pair.distortion
-            for i, action, _ in _causal_bayes(table, d, n):
-                prefix = s_idx // ns ** (n - i + 1)
-                cur = s_idx // ns ** (n - i) % ns
-                dist_samples += d[cur, action[msgs, prefix, v_idx]]
+        eq_samples = np.empty(trials)
+        for cols, table in tables:
+            # the samples whose message lies in this chunk, indexed within it
+            k = np.flatnonzero((msgs >= cols.start) & (msgs < cols.stop))
+            m, s, v = msgs[k] - cols.start, s_idx[k], v_idx[k]
+            eq_samples[k] = -np.log(table[m, s, v] / table.sum(axis=1)[m, v])
+            if dist_samples is not None:
+                for i, action, _ in _causal_bayes(table, d, n):
+                    prefix, cur = s // ns ** (n - i + 1), s // ns ** (n - i) % ns
+                    dist_samples[k] += d[cur, action[m, prefix, v]]
     else:
         # importance-sample u-blocks from the letterwise prior
         k_is = 512

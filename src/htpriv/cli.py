@@ -10,7 +10,8 @@ counterexample.  Output is a CSV (UTF-8, LF line endings) whose first line is
 a versioned schema comment; the data is byte-identical for identical
 (config, seed).  Exit status 0 on success, 1 on runtime failure (with a
 single machine-parsable JSON error line on stderr and no partial CSV left
-behind), 2 on usage errors.
+behind), 2 on usage errors.  Degenerate regimes, such as a simulated scheme
+whose typical set is empty, print one JSON warning line on stderr each.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .probcore import (
     LN2,
     Pmf,
     conditional_entropy,
+    has_typical_sequence,
     nats_to_bits,
     pmf_close,
 )
@@ -174,6 +176,8 @@ def _run_simulate(args, params):
     n = int(params.get("n", "4"))
     trials = int(params.get("trials", "10000"))
     privacy = params.get("privacy", "none")
+    if privacy not in ("none", "exact", "mc"):
+        raise ExperimentError(f"privacy must be none, exact or mc, got {privacy!r}")
     cfg = schemes.SchemeConfig(
         scheme=scheme,
         delta=float(params.get("delta", str(schemes.DELTA_DEFAULT))),
@@ -181,6 +185,11 @@ def _run_simulate(args, params):
         rate_nats=float(params.get("rate_nats", "1.0")),
         epsilon_star=float(params.get("epsilon_star", "0.0")),
     )
+    # the likelihood encoder tests u-typicality at delta' = delta/2
+    typ_delta = cfg.delta_prime if scheme == "likelihood" else cfg.delta
+    if not has_typical_sequence(pair.p.marginal_pmf("U").probs, n, typ_delta):
+        print(json.dumps({"warning": "empty_typical_set", "n": n, "delta": typ_delta}),
+              file=sys.stderr)
     stats = schemes.run_trials(cfg, pair, n, trials, args.seed)
     rows = [(
         "trials", scheme, n, trials, args.seed, stats.type1_errors,

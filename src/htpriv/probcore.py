@@ -38,6 +38,7 @@ __all__ = [
     "empirical_cond_entropy",
     "empirical_pmf",
     "typical_rows",
+    "has_typical_sequence",
     "inverse_cdf",
     "block_index",
     "block_digits",
@@ -53,6 +54,7 @@ __all__ = [
 
 MASS_TOL = 1e-12        # total-mass tolerance for valid distributions
 PMF_EQ_TOL = 1e-12      # sup-norm tolerance for distribution equality tests
+_TYPICAL_SLACK = 1e-15  # rounding slack on the typicality bound delta
 
 LN2 = math.log(2.0)
 
@@ -393,7 +395,17 @@ def typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarra
     rows = seqs.reshape(-1, n)
     counts = np.bincount((rows + k * np.arange(len(rows))[:, None]).ravel(), minlength=k * len(rows))
     freqs = counts.reshape(seqs.shape[:-1] + (k,)) / n
-    return np.abs(freqs - probs).max(axis=-1) <= delta + 1e-15
+    return np.abs(freqs - probs).max(axis=-1) <= delta + _TYPICAL_SLACK
+
+
+def has_typical_sequence(probs: np.ndarray, n: int, delta: float) -> bool:
+    """Whether some length-``n`` sequence passes :func:`typical_rows`, decided
+    from the letter counts alone: each count c_a lies between
+    ceil(n (p_a - delta)) and floor(n (p_a + delta)), and the counts sum to n."""
+    tol = delta + _TYPICAL_SLACK
+    lo = np.maximum(np.ceil(n * (probs - tol)), 0)
+    hi = np.minimum(np.floor(n * (probs + tol)), n)
+    return bool((lo <= hi).all() and lo.sum() <= n <= hi.sum())
 
 
 def inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

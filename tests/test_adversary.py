@@ -2,12 +2,13 @@
 and the time-sharing counterexample."""
 
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from htpriv import instances
+from htpriv import instances, schemes
 from htpriv.adversary import (
     AssumptionViolatedError,
     BudgetExceededError,
@@ -24,11 +25,12 @@ from htpriv.adversary import (
     mc_privacy_estimate,
     message_map_model,
     quantize_timeshare_model,
+    scheme_model_for,
     zero_rate_model,
 )
 from htpriv.probcore import Channel, JointPmf, Pmf, block_index, conditional_entropy, inverse_cdf
 from htpriv.regions import HypothesisPair, bayes_estimator
-from htpriv.schemes import build_codebook
+from htpriv.schemes import SchemeConfig, build_codebook, chunk_rows
 
 from conftest import MASTER_SEED, random_joint, random_suv_joint
 
@@ -522,3 +524,76 @@ class TestModelBuilders:
     def test_message_map_model_invalid_rows_rejected(self):
         with pytest.raises(ValueError):
             SchemeModel(1, 2, np.array([[0.5, 0.4], [0.5, 0.5]]), ("a", "b"))
+
+
+def parity_with_silent_messages(n: int) -> SchemeModel:
+    """Parity disclosure on example 2 with three never-sent messages in
+    columns 3..5, so a chunk of three messages receives no samples."""
+    law = message_map_model(4, n, lambda s: tuple(x % 2 for x in s)).law
+    law = np.hstack([law[:, :3], np.zeros((law.shape[0], 3)), law[:, 3:]])
+    return SchemeModel(n, 4, law, tuple(range(law.shape[1])))
+
+
+class TestChunkedAudits:
+    """The privacy audits hold one chunk of message columns of the block
+    table at a time; the chunk size must not change what they report."""
+
+    @staticmethod
+    def cases():
+        lik_cfg = SchemeConfig(scheme="likelihood", delta=0.3, eta=0.05, rate_nats=1.0,
+                               w_channel=Channel([[0.9, 0.1], [0.1, 0.9]]))
+        ex1 = instances.example1_pair(0.2, 0.0)
+        # (model, pair, n, messages per chunk): chunks 3,3,3,2 and 7,7,5
+        return [(parity_with_silent_messages(3), instances.example2_pair(), 3, 3),
+                (scheme_model_for(lik_cfg, ex1, 5, seed=1), ex1, 5, 7)]
+
+    @staticmethod
+    def force_chunks(monkeypatch, model, pair, n, per_chunk):
+        cells = pair.law(0).probs[:, 0].size ** n          # |S|^n |V|^n per message
+        assert len(chunk_rows(model.num_messages, cells)) == 1
+        monkeypatch.setattr(schemes, "CHUNK_CELLS", per_chunk * cells)
+        sizes = [len(range(model.num_messages)[c]) for c in chunk_rows(model.num_messages, cells)]
+        assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+
+    def test_chunked_audits_match_one_chunk(self, monkeypatch):
+        for model, pair, n, per_chunk in self.cases():
+            whole = [(exact_causal_distortion(model, pair, n, h),
+                      mc_privacy_estimate(model, pair, n, h, trials=400, seed=6))
+                     for h in (0, 1)]
+            with monkeypatch.context() as mp:
+                self.force_chunks(mp, model, pair, n, per_chunk)
+                for h, (dist, rep) in zip((0, 1), whole):
+                    assert abs(exact_causal_distortion(model, pair, n, h) - dist) <= 1e-12
+                    assert mc_privacy_estimate(model, pair, n, h, trials=400, seed=6) == rep
+
+    def test_biased_exactly_when_whole_table_exceeds_budget(self, monkeypatch):
+        for model, pair, n, per_chunk in self.cases():
+            cells = model.num_messages * pair.law(0).probs[:, 0].size ** n
+            with monkeypatch.context() as mp:
+                self.force_chunks(mp, model, pair, n, per_chunk)
+                rep = mc_privacy_estimate(model, pair, n, 0, trials=50, seed=2,
+                                          max_joint_cells=cells)
+                assert not rep.biased and rep.causal_distortion_per_letter is not None
+                assert exact_causal_distortion(model, pair, n, 0, max_joint_cells=cells) >= 0
+                # one cell short: every chunk fits, the whole table does not
+                rep = mc_privacy_estimate(model, pair, n, 0, trials=50, seed=2,
+                                          max_joint_cells=cells - 1)
+                assert rep.biased and rep.causal_distortion_per_letter is None
+                with pytest.raises(BudgetExceededError):
+                    exact_causal_distortion(model, pair, n, 0, max_joint_cells=cells - 1)
+
+    def test_peak_memory_below_half_the_whole_table(self, monkeypatch):
+        pair, n = instances.example2_pair(), 5
+        model = message_map_model(4, n, lambda s: tuple(x % 2 for x in s))
+        cells = pair.law(0).probs[:, 0].size ** n
+        table_bytes = 8 * model.num_messages * cells          # 32 messages, 8 MiB
+        monkeypatch.setattr(schemes, "CHUNK_CELLS", 2 * cells)
+        for audit in (lambda: exact_causal_distortion(model, pair, n, 0),
+                      lambda: mc_privacy_estimate(model, pair, n, 0, trials=1000, seed=5)):
+            tracemalloc.start()          # numpy reports its buffers to tracemalloc
+            try:
+                audit()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < table_bytes / 2

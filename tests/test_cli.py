@@ -145,6 +145,40 @@ class TestSimulateAndZeroRate:
             assert 0.0 <= float(p["distortion_per_letter"]) <= 0.5 + 1e-12
 
 
+    @pytest.mark.parametrize("value", ["exat", "Exact", ""])
+    def test_unknown_privacy_mode_fails(self, tmp_path, capsys, value):
+        inst = tmp_path / "zr.json"
+        instances.save_instance(instances.zero_rate_binary_pair(), str(inst))
+        out = tmp_path / "simp.csv"
+        rc = main(["run", "--experiment", "simulate", "--instance", str(inst),
+                   "--out", str(out), "--param", "n=4", "--param", "trials=100",
+                   "--param", f"privacy={value}"])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ExperimentError" and repr(value) in rec["message"]
+
+    @pytest.mark.parametrize("scheme,params,warning", [
+        # the typical set is empty below the 1/3 type resolution at n=3; the
+        # likelihood encoder tests typicality at delta' = delta/2
+        ("zero_rate", ["n=3"], {"warning": "empty_typical_set", "n": 3, "delta": 0.05}),
+        ("likelihood", ["n=3"], {"warning": "empty_typical_set", "n": 3, "delta": 0.025}),
+        ("zero_rate", ["n=6", "delta=0.15"], None),          # the README command
+    ], ids=["zero_rate_n3", "likelihood_n3", "readme"])
+    def test_empty_typical_set_warning(self, tmp_path, capsys, scheme, params, warning):
+        inst = tmp_path / "zr.json"
+        instances.save_instance(instances.zero_rate_binary_pair(), str(inst))
+        out = tmp_path / "sim.csv"
+        argv = ["run", "--experiment", "simulate", "--instance", str(inst),
+                "--out", str(out), "--param", f"scheme={scheme}", "--param", "trials=200"]
+        rc = main(argv + [a for p in params for a in ("--param", p)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert [json.loads(line) for line in err.splitlines()] == ([warning] if warning else [])
+        header, rows = read_rows(out)
+        assert len(rows) == 1 and rows[0][0] == "trials"
+
+
 class TestCounterexampleExperiment:
     def test_counterexample_rows(self, tmp_path):
         inst = tmp_path / "ce.json"

@@ -15,8 +15,10 @@ from htpriv.probcore import (
     binary_entropy,
     conditional_entropy,
     conditional_mutual_information,
+    all_sequences,
     empirical_cond_entropy,
     entropy,
+    has_typical_sequence,
     inv_binary_entropy,
     is_typical,
     joint_type,
@@ -25,6 +27,7 @@ from htpriv.probcore import (
     pmf_close,
     star,
     total_variation,
+    typical_rows,
 )
 
 from conftest import MASTER_SEED, PROPERTY_CASES, random_joint, random_pmf
@@ -140,6 +143,22 @@ class TestTypicality:
     def test_frequency_gap_detected(self):
         x = SequenceSample([0, 0, 0, 1], 2)
         assert not is_typical(x, Pmf([0.5, 0.5]), 0.1)
+
+    def test_typical_set_emptiness_matches_enumeration(self):
+        rng = np.random.default_rng(MASTER_SEED + 9)
+        # exact types at delta 0, and delta below the 1/n type resolution
+        cases = [([0.25, 0.75], 4, 0.0), ([0.5, 0.5], 3, 0.05), ([0.5, 0.5], 6, 0.15)]
+        for _ in range(PROPERTY_CASES // 2):
+            k, n = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+            probs = random_pmf(rng, k).probs
+            cases += [(probs, n, d) for d in (0.0, rng.uniform(0, 1 / n), 1 / n)]
+        seen = set()
+        for probs, n, delta in cases:
+            probs = np.asarray(probs)
+            want = bool(typical_rows(all_sequences(probs.size, n), probs, delta).any())
+            assert has_typical_sequence(probs, n, delta) == want, (probs, n, delta)
+            seen.add(want)
+        assert seen == {True, False}
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
