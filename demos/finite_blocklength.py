@@ -15,11 +15,10 @@ import numpy as np
 from htpriv import instances
 from htpriv.adversary import exact_errors, scheme_model_for
 from htpriv.oracle import exact_error_probabilities
-from htpriv.probcore import Channel, Pmf, SequenceSample, mutual_information
+from htpriv.probcore import Channel, Pmf, mutual_information
 from htpriv.regions import attach_channel, zero_rate_exponent
 from htpriv.schemes import (
     LikelihoodSetup,
-    Message,
     SchemeConfig,
     build_codebook,
     likelihood_scheme,
@@ -61,8 +60,8 @@ print(f"message: {label}")
 if label != "error":
     _, t, _, b = label
     print(f"declared joint type of (u, w):\n{unrank_count_matrix(t, (2, 2), n)}")
-    jhat = min_entropy_decode(cb, Message("payload", t, b), SequenceSample(v[0], 2),
-                              delta_hat=0.6)
+    # batched decoder: one (bin, v-block) pair here; -1 means no candidate
+    jhat = min_entropy_decode(cb, np.array([b]), v, delta_hat=0.6)[0]
     decision = 0 if scheme.accepts(code, v)[0] else 1
     print(f"decoded index={jhat}, decision H^={decision}")
 

@@ -36,7 +36,6 @@ from .regions import (
 )
 from .schemes import (
     Codebook,
-    Message,
     MessageLaw,
     Scheme,
     SchemeConfig,

@@ -281,9 +281,10 @@ def _causal_bayes(table: np.ndarray, distortion: np.ndarray, n: int):
     ns = distortion.shape[0]
     for i in range(1, n + 1):
         # the s-block index is first letter most significant, so the prefix
-        # s^{1..i} is its leading digits
-        costs = np.einsum("mpsv,sa->ampv", table.reshape(
-            nm, ns ** (i - 1), ns, nsn // ns ** i, nvn).sum(axis=3), distortion)
+        # s^{1..i} is its leading digits; at i = n no later letter is summed
+        joint = table.reshape(nm, ns ** (i - 1), ns, nsn // ns ** i, nvn)
+        costs = np.einsum("mpsv,sa->ampv", joint[:, :, :, 0] if i == n else joint.sum(axis=3),
+                          distortion)
         action, cost = costs.argmin(axis=0), float(costs.min(axis=0).sum())
         del costs       # the caller's lookups and the next letter run without it
         yield i, action, cost
@@ -348,9 +349,11 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
     """Plug-in Monte Carlo estimate of the exact quantities above.
 
     When the posterior table fits the budget the per-sample posteriors are
-    computed exactly and the estimates are unbiased; otherwise posteriors are
-    approximated by self-normalized importance sampling over u-blocks and the
-    report is flagged as biased.  Estimates, never certified bounds.
+    computed exactly and the estimates are unbiased.  Otherwise each posterior
+    is a ratio of two Monte Carlo means over drawn u-blocks (see below), the
+    report is flagged as biased and carries no distortion, and a sample whose
+    message no drawn u-block sends raises ``RuntimeError``.  Estimates, never
+    certified bounds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -387,24 +390,27 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
                     prefix, cur = s // ns ** (n - i + 1), s // ns ** (n - i) % ns
                     dist_samples[k] += d[cur, action[m, prefix, v]]
     else:
-        # importance-sample u-blocks from the letterwise prior
+        # biased mode reports equivocation only: P(s | m, v) = prod_i
+        # P(s_i | v_i) P(m | s, v) / P(m | v), each conditional message
+        # probability the mean of law[u, m] over k_is u-blocks drawn letter by
+        # letter from P(u_i | s_i, v_i), respectively P(u_i | v_i)
         k_is = 512
-        p_u_letter = a.sum(axis=(0, 2)) / a.sum()
-        eq_samples = np.zeros(trials)   # biased mode reports equivocation only
-        for k in range(trials):
-            us = rng.choice(nu, size=(k_is, n), p=p_u_letter)
-            w = np.ones(k_is)
-            for i in range(n):
-                w *= a[s_seq[k, i], us[:, i], v_seq[k, i]] / p_u_letter[us[:, i]]
-            uids = block_index(us, nu)
-            w_m = w * model.law[uids, msgs[k]]
-            num = w_m.sum()
-            # denominator: P(m, v^n) estimate via prior over (s, u)
-            w2 = np.ones(k_is)
-            for i in range(n):
-                w2 *= a[:, us[:, i], v_seq[k, i]].sum(axis=0) / p_u_letter[us[:, i]]
-            den = (w2 * model.law[uids, msgs[k]]).sum()
-            eq_samples[k] = -math.log(max(num / max(den, 1e-300), 1e-300))
+        p_sv = a.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):   # (s, v) cells never drawn
+            u_given_sv = (a / p_sv[:, None, :]).transpose(0, 2, 1)
+            u_given_v = (a.sum(axis=0) / p_sv.sum(axis=0)).T
+            log_s_given_v = np.log(p_sv / p_sv.sum(axis=0))
+        eq_samples = -log_s_given_v[s_seq, v_seq].sum(axis=1)
+        for rows in chunk_rows(trials, k_is * n * nu):
+            means = []
+            for cond in (u_given_sv[s_seq[rows], v_seq[rows]], u_given_v[v_seq[rows]]):
+                probs = np.repeat(cond[:, None], k_is, axis=1).reshape(-1, nu)
+                us = inverse_cdf(probs, rng.random(len(probs))).reshape(-1, k_is, n)
+                means.append(model.law[block_index(us, nu), msgs[rows, None]].mean(axis=1))
+            if not np.all(means):
+                raise RuntimeError(f"no u-block of the {k_is} drawn for a sample sends its "
+                                   "message; the biased estimate is undefined")
+            eq_samples[rows] += np.log(means[1]) - np.log(means[0])
 
     eq_mean = float(eq_samples.mean()) / n
     eq_se = float(eq_samples.std(ddof=1) / math.sqrt(trials)) / n if trials > 1 else 0.0

@@ -11,7 +11,8 @@ a versioned schema comment; the data is byte-identical for identical
 (config, seed).  Exit status 0 on success, 1 on runtime failure (with a
 single machine-parsable JSON error line on stderr and no partial CSV left
 behind), 2 on usage errors.  Degenerate regimes, such as a simulated scheme
-whose typical set is empty, print one JSON warning line on stderr each.
+whose typical set is empty or a privacy estimate that fell back to the biased
+importance-sampling branch, print one JSON warning line on stderr each.
 """
 
 from __future__ import annotations
@@ -211,6 +212,9 @@ def _run_simulate(args, params):
                 mc_trials = int(params.get("privacy_trials", "2000"))
                 rep = adversary.mc_privacy_estimate(model, pair, n, hyp,
                                                     mc_trials, args.seed)
+                if rep.biased:
+                    print(json.dumps({"warning": "biased_privacy_estimate", "n": n,
+                                      "hypothesis": hyp}), file=sys.stderr)
                 dist = rep.causal_distortion_per_letter
                 row_tail = (hyp, nats_to_bits(rep.equivocation_per_letter),
                             dist if dist is not None else "", False)

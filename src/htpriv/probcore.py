@@ -37,6 +37,7 @@ __all__ = [
     "joint_type",
     "empirical_cond_entropy",
     "empirical_pmf",
+    "type_counts",
     "typical_rows",
     "has_typical_sequence",
     "inverse_cdf",
@@ -388,13 +389,19 @@ def empirical_pmf(x: SequenceSample) -> Pmf:
     return Pmf(counts / x.n)
 
 
+def type_counts(seqs: np.ndarray, k: int) -> np.ndarray:
+    """Letter counts of each sequence along the last axis of ``seqs`` over the
+    alphabet {0, ..., k-1}, shape ``seqs.shape[:-1] + (k,)``, from one bincount."""
+    n = seqs.shape[-1]
+    rows = seqs.reshape(-1, n)
+    counts = np.bincount((rows + k * np.arange(len(rows))[:, None]).ravel(), minlength=k * len(rows))
+    return counts.reshape(seqs.shape[:-1] + (k,))
+
+
 def typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
     """Letter-typicality of each sequence along the last axis of ``seqs``:
     |probs(a) - freq(a)| <= delta for every letter a."""
-    k, n = probs.size, seqs.shape[-1]
-    rows = seqs.reshape(-1, n)
-    counts = np.bincount((rows + k * np.arange(len(rows))[:, None]).ravel(), minlength=k * len(rows))
-    freqs = counts.reshape(seqs.shape[:-1] + (k,)) / n
+    freqs = type_counts(seqs, probs.size) / seqs.shape[-1]
     return np.abs(freqs - probs).max(axis=-1) <= delta + _TYPICAL_SLACK
 
 

@@ -19,22 +19,20 @@ from typing import Callable
 import numpy as np
 
 from .probcore import (
+    _TYPICAL_SLACK,
     Channel,
     Pmf,
-    SequenceSample,
     block_digits,
     block_index,
-    empirical_cond_entropy,
     inverse_cdf,
-    is_typical,
     kl_of_arrays,
+    type_counts,
     typical_rows,
 )
 from .regions import HypothesisPair
 
 __all__ = [
     "Codebook",
-    "Message",
     "MessageLaw",
     "Scheme",
     "TrialStats",
@@ -93,31 +91,6 @@ class Codebook:
     @property
     def size(self) -> int:
         return int(self.codewords.shape[0])
-
-    def codeword(self, j: int) -> SequenceSample:
-        return SequenceSample(self.codewords[j], self.p_w.support_size)
-
-
-@dataclass(frozen=True)
-class Message:
-    """Encoder output: the error message or a (joint-type index, bin) payload."""
-
-    kind: str                    # "error" | "payload"
-    type_index: int | None = None
-    bin_or_index: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "error":
-            if self.type_index is not None or self.bin_or_index is not None:
-                raise ValueError("error message carries no payload")
-        elif self.kind == "payload":
-            if self.type_index is None or self.bin_or_index is None:
-                raise ValueError("payload message needs type index and bin")
-        else:
-            raise ValueError(f"unknown message kind {self.kind!r}")
-
-
-ERROR_MESSAGE = Message("error")
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +183,46 @@ def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
                     u_size=u_size, seed=seed)
 
 
-def min_entropy_decode(cb: Codebook, m: Message, v: SequenceSample,
-                       delta_hat: float) -> int | None:
-    """Among codebook entries in the message's bin whose codeword is
-    delta_hat-typical for P_W, return the index minimizing the conditional
-    empirical entropy H_e(w(l) | v); ties break toward the smallest index.
-    Returns None when no candidate survives.  Under identity binning the sent
-    index is returned directly."""
-    if m.kind != "payload":
-        raise ValueError("cannot decode an error message")
+def min_entropy_decode(cb: Codebook, bins: np.ndarray, vblocks: np.ndarray,
+                       delta_hat: float) -> np.ndarray:
+    """Decode B (bin, v-block) pairs at once.
+
+    For pair p, among the codebook entries in bin ``bins[p]`` whose codeword
+    is delta_hat-typical for P_W, return the index minimizing the conditional
+    empirical entropy H_e(w(l) | vblocks[p]); among indices within 1e-15 of
+    the minimum the smallest wins.  Returns -1 where no candidate survives.
+    Under identity binning the sent index is the bin, returned as is.
+    """
+    bins = np.asarray(bins, dtype=np.int64)
     if cb.identity_binning:
-        return int(m.bin_or_index)
-    best = None
-    best_h = math.inf
-    for l in np.flatnonzero(cb.bins == m.bin_or_index):
-        w = cb.codeword(int(l))
-        if not is_typical(w, cb.p_w, delta_hat):
-            continue
-        h = empirical_cond_entropy(w, v)
-        if h < best_h - 1e-15:
-            best, best_h = int(l), h
-    return best
+        return bins.copy()
+    n, nw = cb.n, cb.p_w.support_size
+    # the typical codewords grouped by bin, in index order within a bin
+    members = np.flatnonzero(typical_rows(cb.codewords, cb.p_w.probs, delta_hat))
+    members = members[np.argsort(cb.bins[members], kind="stable")]
+    start = np.searchsorted(cb.bins[members], np.arange(cb.num_bins + 1))
+    sizes = np.diff(start)
+    width = int(sizes.max(initial=0))
+    out = np.full(bins.size, -1, dtype=np.int64)
+    if width == 0:
+        return out
+    nv = int(vblocks.max(initial=0)) + 1
+    # p log p of a type cell that holds c of the n letters
+    c = np.arange(1, n + 1)
+    plogp = np.concatenate([[0.0], c / n * np.log(c / n)])
+    slot = np.arange(width)
+    # one pair holds width codewords of n letters and their nv * nw type counts
+    for rows in chunk_rows(bins.size, width * (n + nv * nw)):
+        size = sizes[bins[rows]]
+        live = slot < size[:, None]
+        cand = members[np.where(live, start[bins[rows], None] + slot, 0)]
+        v = vblocks[rows]
+        joint = type_counts(v[:, None, :] * nw + cb.codewords[cand], nv * nw)
+        h = plogp[type_counts(v, nv)].sum(axis=-1)[:, None] - plogp[joint].sum(axis=-1)
+        h = np.where(live, h, np.inf)
+        first = (h <= h.min(axis=1, keepdims=True) + 1e-15).argmax(axis=1)
+        out[rows] = np.where(size > 0, cand[np.arange(cand.shape[0]), first], -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +337,7 @@ def likelihood_law(cb: Codebook, p_u_given_w: Channel, delta_prime: float) -> Me
         rows, logits = rows[live], logits[live]
         sel = np.exp(logits - logits.max(axis=1, keepdims=True))
         sel /= sel.sum(axis=1, keepdims=True)
-        cells = ublocks[rows][:, None, :] * nw + cb.codewords[None, :, :]
-        counts = (cells[..., None] == np.arange(nu * nw)).sum(axis=2)
+        counts = type_counts(ublocks[rows][:, None, :] * nw + cb.codewords, nu * nw)
         t = rank_count_matrix(counts.reshape(len(rows), size, nu, nw))
         codes[rows] = np.where(sel > 0, 1 + t * cb.num_bins + cb.bins, 0)
         probs[rows] = sel
@@ -359,18 +350,16 @@ def likelihood_law(cb: Codebook, p_u_given_w: Channel, delta_prime: float) -> Me
     return MessageLaw(cb.n, nu, cb.size, pairs, label)
 
 
-def likelihood_encode(cb: Codebook, u: SequenceSample, p_u_given_w: Channel,
-                      delta_prime: float, seed: int) -> Message:
-    """One draw of :func:`likelihood_law` for the block ``u``, with the
-    uniform taken from ``np.random.default_rng(seed)``."""
+def likelihood_encode(cb: Codebook, u, p_u_given_w: Channel,
+                      delta_prime: float, seed: int):
+    """The label of one draw of :func:`likelihood_law` for the block ``u`` (a
+    :class:`~htpriv.probcore.SequenceSample`), with the uniform taken from
+    ``np.random.default_rng(seed)``: ``"error"`` or ``("type", t, "bin", b)``."""
     if u.n != cb.n:
         raise ValueError(f"sequence length {u.n} != codebook blocklength {cb.n}")
     law = likelihood_law(cb, p_u_given_w, delta_prime)
-    label = law.label(sample_codes(law, u.symbols[None, :],
-                                   np.random.default_rng(seed).random(1))[0])
-    if label == "error":
-        return ERROR_MESSAGE
-    return Message("payload", type_index=label[1], bin_or_index=label[3])
+    return law.label(sample_codes(law, u.symbols[None, :],
+                                  np.random.default_rng(seed).random(1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -441,33 +430,26 @@ def likelihood_scheme(setup: LikelihoodSetup, config: SchemeConfig) -> Scheme:
     """The likelihood scheme on a fixed codebook.  The detector accepts the
     null iff the message is a payload, its declared joint type is within
     delta of P_UW, min-entropy decoding in its bin succeeds, and the decoded
-    codeword is jointly delta_tilde-typical with v for P_WV."""
+    codeword is jointly delta_tilde-typical with v for P_WV.  Each step runs
+    on every (message, v-block) pair of a call at once; the type gate runs
+    once per distinct declared type."""
     cb = setup.codebook
     law = likelihood_law(cb, setup.reverse_channel, config.delta_prime)
     n, nv = cb.n, setup.p_wv.shape[1]
-    delta_hat = config.delta_hat(cb.u_size)
-    gate: dict[int, bool] = {}
-    decoded: dict[tuple, bool] = {}
-
-    def accept_one(code: int, vblock: np.ndarray) -> bool:
-        _, t, _, b = law.label(code)
-        if t not in gate:
-            counts = unrank_count_matrix(t, setup.p_uw.shape, n)
-            gate[t] = bool(np.abs(counts / n - setup.p_uw).max() <= config.delta + 1e-15)
-        if not gate[t]:
-            return False
-        key = (b, vblock.tobytes())
-        if key not in decoded:
-            m = Message("payload", type_index=t, bin_or_index=b)
-            j = min_entropy_decode(cb, m, SequenceSample(vblock, nv), delta_hat)
-            decoded[key] = j is not None and bool(typical_rows(
-                cb.codewords[j] * nv + vblock, setup.p_wv.ravel(), config.delta_tilde))
-        return decoded[key]
 
     def accepts(codes, vblocks):
         out = np.zeros(len(codes), dtype=bool)
-        for i in np.flatnonzero(codes > 0):
-            out[i] = accept_one(int(codes[i]), vblocks[i])
+        rows = np.flatnonzero(codes > 0)
+        t, b = np.divmod(codes[rows] - 1, cb.num_bins)
+        types, of_type = np.unique(t, return_inverse=True)
+        gate = np.array([np.abs(unrank_count_matrix(int(x), setup.p_uw.shape, n) / n
+                                - setup.p_uw).max() <= config.delta + _TYPICAL_SLACK
+                         for x in types], dtype=bool)[of_type]
+        rows, b = rows[gate], b[gate]
+        j = min_entropy_decode(cb, b, vblocks[rows], config.delta_hat(cb.u_size))
+        rows, j = rows[j >= 0], j[j >= 0]
+        out[rows] = typical_rows(cb.codewords[j] * nv + vblocks[rows], setup.p_wv.ravel(),
+                                 config.delta_tilde)
         return out
 
     return Scheme(law, accepts)

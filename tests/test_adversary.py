@@ -505,6 +505,27 @@ class TestMcBiasedBranch:
         # importance-sampled posterior: consistent but only loosely bounded
         assert abs(rep.equivocation_per_letter - exact) < 0.2
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_agrees_with_exact_when_s_pins_u(self, n):
+        # S pins U here, so a u-block drawn without regard to s^n almost
+        # never matches it; the numerator draws come from P(u_i | s_i, v_i)
+        pair = instances.zero_rate_binary_pair()
+        model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.15)
+        rep = mc_privacy_estimate(model, pair, n, 0, trials=200, seed=1, max_joint_cells=4)
+        assert rep.biased
+        exact = exact_equivocation(model, pair, n, 0) / n
+        assert abs(rep.equivocation_per_letter - exact) <= 4 * rep.equivocation_stderr
+
+    def test_message_no_draw_sends_raises(self):
+        # S = U and full disclosure: P(m | v^10) = 2^-10, so the 512 draws from
+        # P(u | v) almost never send m, and no number is made up for it
+        probs = np.zeros((2, 2, 2))
+        probs[0, 0], probs[1, 1] = 0.25, 0.25
+        j = JointPmf((("S", 2), ("U", 2), ("V", 2)), probs)
+        with pytest.raises(RuntimeError, match="biased estimate is undefined"):
+            mc_privacy_estimate(full_disclosure_model(2, 10), HypothesisPair(j, j), 10, 0,
+                                trials=20, seed=1, max_joint_cells=4)
+
 
 class TestModelBuilders:
     def test_zero_rate_model_rows(self):

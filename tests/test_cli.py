@@ -179,6 +179,28 @@ class TestSimulateAndZeroRate:
         assert len(rows) == 1 and rows[0][0] == "trials"
 
 
+    def test_biased_privacy_estimate_warning(self, tmp_path, capsys):
+        # at n=13 the zero-rate block table (2 * 4^13 cells) exceeds the
+        # budget, so each hypothesis falls back to the biased estimate
+        inst = tmp_path / "zr.json"
+        instances.save_instance(instances.zero_rate_binary_pair(), str(inst))
+        out = tmp_path / "sim.csv"
+        rc = main(["run", "--experiment", "simulate", "--instance", str(inst), "--out", str(out),
+                   "--param", "scheme=zero_rate", "--param", "n=13",
+                   "--param", "privacy=mc", "--param", "privacy_trials=20"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"warning": "biased_privacy_estimate", "n": 13, "hypothesis": h} for h in (0, 1)]
+        header, rows = read_rows(out)
+        priv = [dict(zip(header, r)) for r in rows if r[0] == "privacy"]
+        assert len(priv) == 2
+        for p in priv:
+            # a binary S leaves at most one bit per letter to equivocate
+            assert p["exact"] == "False"
+            assert 0.0 <= float(p["equivocation_bits_per_letter"]) <= 1.0
+
+
 class TestCounterexampleExperiment:
     def test_counterexample_rows(self, tmp_path):
         inst = tmp_path / "ce.json"

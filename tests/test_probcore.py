@@ -27,6 +27,7 @@ from htpriv.probcore import (
     pmf_close,
     star,
     total_variation,
+    type_counts,
     typical_rows,
 )
 
@@ -159,6 +160,15 @@ class TestTypicality:
             assert has_typical_sequence(probs, n, delta) == want, (probs, n, delta)
             seen.add(want)
         assert seen == {True, False}
+
+    def test_type_counts_match_per_row_bincount(self):
+        rng = np.random.default_rng(MASTER_SEED + 10)
+        seqs = rng.integers(0, 3, size=(4, 5, 7))
+        counts = type_counts(seqs, 4)
+        assert counts.shape == (4, 5, 4)
+        for idx in np.ndindex(4, 5):
+            np.testing.assert_array_equal(counts[idx], np.bincount(seqs[idx], minlength=4))
+        assert type_counts(seqs[:0], 4).shape == (0, 5, 4)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

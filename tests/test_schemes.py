@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from htpriv import instances
-from htpriv.probcore import Channel, JointPmf, Pmf, SequenceSample, empirical_cond_entropy
+from htpriv.probcore import (
+    Channel,
+    JointPmf,
+    Pmf,
+    SequenceSample,
+    empirical_cond_entropy,
+    is_typical,
+)
 from htpriv.regions import HypothesisPair
 from htpriv.schemes import (
     Codebook,
     CodebookSizeError,
     LikelihoodSetup,
-    Message,
     SchemeConfig,
     build_codebook,
     likelihood_encode,
@@ -121,27 +127,26 @@ class TestLikelihoodEncode:
         cb = toy_codebook([[0, 1]])
         chan = Channel([[0.8, 0.2], [0.2, 0.8]])
         u = SequenceSample([0, 1], 2)
-        m = likelihood_encode(cb, u, chan, delta_prime=0.5, seed=3)
-        assert m.kind == "payload"
-        assert m.bin_or_index == 0
+        label = likelihood_encode(cb, u, chan, delta_prime=0.5, seed=3)
+        assert label != "error"
+        assert label[3] == 0
 
     def test_zero_likelihood_codeword_excluded(self):
         cb = toy_codebook([[0, 0], [1, 1]])
         chan = Channel([[1.0, 0.0], [0.0, 1.0]])  # P(u|w) = 1(u = w)
         u = SequenceSample([1, 1], 2)
         for seed in range(5):
-            m = likelihood_encode(cb, u, chan, delta_prime=1.0, seed=seed)
+            label = likelihood_encode(cb, u, chan, delta_prime=1.0, seed=seed)
             # codeword 0 has zero likelihood; joint type of (u, w(1)) is all-(1,1)
             counts = np.zeros((2, 2), dtype=np.int64)
             counts[1, 1] = 2
-            assert m.type_index == rank_count_matrix(counts)
+            assert label[:2] == ("type", rank_count_matrix(counts))
 
     def test_atypical_input_gives_error_message(self):
         cb = toy_codebook([[0, 1], [1, 0]])
         chan = Channel([[0.8, 0.2], [0.2, 0.8]])
         u = SequenceSample([1, 1], 2)  # freq (0, 1) vs p_u = (0.5, 0.5)
-        m = likelihood_encode(cb, u, chan, delta_prime=0.1, seed=0)
-        assert m.kind == "error"
+        assert likelihood_encode(cb, u, chan, delta_prime=0.1, seed=0) == "error"
 
     def test_selection_probabilities_match_hand_products(self):
         # two codewords, hand-computed likelihood products
@@ -155,8 +160,8 @@ class TestLikelihoodEncode:
         # empirical selection frequency over seeds follows those probabilities
         picks = []
         for seed in range(4000):
-            m = likelihood_encode(cb, u, chan, delta_prime=0.6, seed=seed)
-            counts = unrank_count_matrix(m.type_index, (2, 2), 2)
+            _, t, _, _ = likelihood_encode(cb, u, chan, delta_prime=0.6, seed=seed)
+            counts = unrank_count_matrix(t, (2, 2), 2)
             picks.append(1 if counts[1, 1] == 1 else 0)
         freq = np.mean(picks)
         sigma = math.sqrt(probs[1] * (1 - probs[1]) / 4000)
@@ -168,46 +173,95 @@ class TestLikelihoodEncode:
         cb = toy_codebook([[0, 0], [0, 0]])
         chan = Channel([[0.0, 1.0], [0.5, 0.5]])  # u=0 impossible under w=0
         u = SequenceSample([0, 0], 2)
-        assert likelihood_encode(cb, u, chan, delta_prime=1.0, seed=0).kind == "error"
+        assert likelihood_encode(cb, u, chan, delta_prime=1.0, seed=0) == "error"
         assert sent(likelihood_law(cb, chan, delta_prime=1.0), [0, 0]) == {"error": 1.0}
+
+
+def loop_min_entropy_decode(cb, b, v, nv, delta_hat):
+    """The per-codeword decoder the batched one replaced, for one bin and one
+    v-block: the first strictly better entropy (by more than 1e-15) wins."""
+    if cb.identity_binning:
+        return b
+    best, best_h = -1, math.inf
+    for l in np.flatnonzero(cb.bins == b):
+        w = SequenceSample(cb.codewords[l], cb.p_w.support_size)
+        if not is_typical(w, cb.p_w, delta_hat):
+            continue
+        h = empirical_cond_entropy(w, SequenceSample(v, nv))
+        if h < best_h - 1e-15:
+            best, best_h = int(l), h
+    return best
+
+
+def decode_one(cb, b, v, delta_hat) -> int:
+    return int(min_entropy_decode(cb, np.array([b]), np.array([v]), delta_hat)[0])
 
 
 class TestMinEntropyDecode:
     def test_single_typical_candidate(self):
         cb = toy_codebook([[0, 1], [1, 1]], bins=[0, 0])
-        m = Message("payload", type_index=0, bin_or_index=0)
-        v = SequenceSample([0, 1], 2)
         # codeword 1 = (1,1) is atypical for p_w = (1/2, 1/2) at delta 0.1
-        assert min_entropy_decode(cb, m, v, delta_hat=0.1) == 0
+        assert decode_one(cb, 0, [0, 1], delta_hat=0.1) == 0
 
     def test_matched_codeword_wins(self):
         # w(1) = v symbolwise: H_e = 0; w(0) is empirically independent of v
         cb = toy_codebook([[0, 0, 1, 1], [0, 1, 0, 1]], bins=[0, 0])
-        v = SequenceSample([0, 1, 0, 1], 2)
-        m = Message("payload", type_index=0, bin_or_index=0)
-        assert min_entropy_decode(cb, m, v, delta_hat=0.5) == 1
+        assert decode_one(cb, 0, [0, 1, 0, 1], delta_hat=0.5) == 1
 
     def test_argmin_matches_enumeration(self):
         rng = np.random.default_rng(MASTER_SEED + 40)
         cw = rng.integers(0, 2, size=(3, 6))
         cb = toy_codebook(cw, bins=[0, 0, 0])
-        v = SequenceSample(rng.integers(0, 2, size=6), 2)
-        m = Message("payload", type_index=0, bin_or_index=0)
-        got = min_entropy_decode(cb, m, v, delta_hat=1.0)
-        hs = [empirical_cond_entropy(cb.codeword(l), v) for l in range(3)]
+        v = rng.integers(0, 2, size=6)
+        got = decode_one(cb, 0, v, delta_hat=1.0)
+        hs = [empirical_cond_entropy(SequenceSample(w, 2), SequenceSample(v, 2)) for w in cw]
         assert got == int(np.argmin(hs))
 
     def test_empty_bin_fails(self):
         cb = toy_codebook([[1, 1]], bins=[0])
-        m = Message("payload", type_index=0, bin_or_index=0)
-        v = SequenceSample([0, 1], 2)
-        assert min_entropy_decode(cb, m, v, delta_hat=0.1) is None
+        assert decode_one(cb, 0, [0, 1], delta_hat=0.1) == -1
 
     def test_identity_mode_returns_index(self):
         cb = toy_codebook([[0, 1], [1, 0]], bins=[0, 1], identity=True)
-        m = Message("payload", type_index=0, bin_or_index=1)
-        v = SequenceSample([0, 0], 2)
-        assert min_entropy_decode(cb, m, v, delta_hat=0.0) == 1
+        assert decode_one(cb, 1, [0, 0], delta_hat=0.0) == 1
+
+    def test_exact_tie_first_index_wins(self):
+        # w = v and w = 1 - v both give H_e(w | v) = 0, and so does a repeat
+        v = [0, 1, 0, 1]
+        for cw, want in (([[1, 0, 1, 0], [0, 1, 0, 1]], 0),
+                         ([[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], 1)):
+            assert decode_one(toy_codebook(cw, bins=[0] * len(cw)), 0, v, delta_hat=0.5) == want
+
+    def test_matches_per_codeword_loop_on_random_codebooks(self):
+        # multi-member and empty bins, atypical codewords, repeated codewords
+        # (exact entropy ties), identity binning, and |V| up to 3
+        rng = np.random.default_rng(MASTER_SEED + 41)
+        seen = set()
+        for case in range(150):
+            n, nw, nv = int(rng.integers(2, 8)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            pool = rng.integers(0, nw, size=(int(rng.integers(1, 6)), n))
+            cw = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 13)))]
+            num_bins = int(rng.integers(1, 5))
+            identity = case % 10 == 0
+            bins = np.arange(len(cw)) if identity else rng.integers(0, num_bins, size=len(cw))
+            p_w = rng.dirichlet(np.ones(nw))
+            cb = Codebook(n=n, eta=0.05, rate=1.0, p_w=Pmf(p_w), codewords=cw, bins=bins,
+                          num_bins=len(cw) if identity else num_bins,
+                          identity_binning=identity, u_size=2, seed=0)
+            delta_hat = float(rng.choice([0.0, 0.15, 0.3, 1.0]))
+            qbins = rng.integers(0, cb.num_bins, size=20)
+            vblocks = rng.integers(0, nv, size=(20, n))
+            got = min_entropy_decode(cb, qbins, vblocks, delta_hat)
+            want = [loop_min_entropy_decode(cb, b, v, nv, delta_hat)
+                    for b, v in zip(qbins, vblocks)]
+            assert got.tolist() == want
+            seen.update(("identity" if identity else "fail" if w < 0 else "ok") for w in want)
+            if not identity and (np.bincount(bins, minlength=num_bins) == 0).any():
+                seen.add("empty_bin")
+            if not identity and not all(is_typical(SequenceSample(w, nw), cb.p_w, delta_hat)
+                                        for w in cw):
+                seen.add("atypical")
+        assert seen == {"identity", "fail", "ok", "empty_bin", "atypical"}
 
 
 class TestDetect:
