@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             diags = validate_instance(args.instance)
-        except (ExperimentError, OSError) as e:
+        except (ExperimentError, OSError, ValueError) as e:
             print(json.dumps({"error": type(e).__name__, "message": str(e)}),
                   file=sys.stderr)
             return 1

@@ -194,6 +194,12 @@ class CouplingSolution:
     multiplier: float                # entropy-constraint multiplier (0 if inactive)
 
 
+_RESIDUAL_TOL = 1e-11   # worst marginal residual of a feasible answer
+_INACTIVE_TOL = 1e-9    # an entropy floor missed by less is inactive
+# a fixed-multiplier solve ends once no coordinate moves more than _STEP_TOL
+_STEP_TOL, _MAX_STEPS = 1e-14, 1000
+
+
 def _expand(arr: np.ndarray, axes: tuple[int, ...], ndim: int, shape) -> np.ndarray:
     # broadcast a marginal tensor (indexed by `axes` in order) over the joint
     order = np.argsort(axes)
@@ -269,17 +275,26 @@ def _grad_neg_cond_entropy(x: np.ndarray, target, given) -> np.ndarray:
     return _expand(lc, axes, x.ndim, x.shape)
 
 
-def solve_coupling(problem: CouplingProblem, x0: np.ndarray | None = None,
-                   tol_res: float = 1e-11, tol_entropy: float = 1e-9,
-                   max_outer: int = 60, max_inner: int = 400) -> CouplingSolution:
+def solve_coupling(problem: CouplingProblem,
+                   x0: np.ndarray | None = None) -> CouplingSolution:
     """Solve the constrained KL minimization.
 
     With marginal constraints only this is a cyclic I-projection of the
-    reference, which converges geometrically and lands exactly on the
-    constraint set.  The optional entropy floor is handled by an augmented
-    hinge penalty max(0, floor - H)^2 with multiplier updates and weight
-    doubling on stall; each inner step is a multiplicative (mirror) update
-    with backtracking, re-projected onto the marginal constraints.
+    reference (from ``x0`` when given), which converges geometrically and
+    lands exactly on the constraint set.
+
+    An entropy floor that the I-projection misses is active.  For a
+    multiplier t >= 0 the Lagrangian KL(x || ref) - t H(target|given) is
+    minimized over the marginal constraints by repeating one
+    majorize-minimize step, the I-projection of
+    ref^(1/(1+t)) (x / x(target|given))^(t/(1+t)).  The step never raises the
+    Lagrangian, because the Bregman divergence of -H(target|given) is
+    KL(x_TG || y_TG) - KL(x_G || y_G) <= KL(x || y).  H at the minimizer
+    grows with t, so t is bracketed by doubling and then bisected until H
+    meets the floor; the answer is the point on the feasible side, with
+    ``multiplier = t`` and ``entropy_slack >= 0``.  If doubling t stops
+    raising H the floor is out of reach, and the last point is returned with
+    its negative ``entropy_slack``.
 
     Infeasible support (constraints force mass where the reference is zero)
     yields objective +inf; mutually inconsistent constraints raise
@@ -297,14 +312,14 @@ def solve_coupling(problem: CouplingProblem, x0: np.ndarray | None = None,
         else:
             start = start / s
     x, res = _ipf(start, cons)
-    if res > tol_res:
+    if res > _RESIDUAL_TOL:
         # distinguish support-infeasibility from slow convergence: the
         # constraint set is nonempty (checked above on shared marginals up to
         # pairwise consistency), so a stuck residual means the support of the
         # reference cannot carry the required marginals.  Iterates stay in the
         # multiplicative family, so continuing from x is equivalent.
         x2, res2 = _ipf(x, cons, max_sweeps=200000)
-        if res2 > tol_res:
+        if res2 > _RESIDUAL_TOL:
             return CouplingSolution(math.inf, None, res2, 0.0, 0.0)
         x, res = x2, res2
 
@@ -314,65 +329,43 @@ def solve_coupling(problem: CouplingProblem, x0: np.ndarray | None = None,
     target, given, floor = problem.entropy_floor
     target, given = tuple(target), tuple(given)
     h = cond_entropy_of_array(x, target, given)
-    if h >= floor - tol_entropy:
+    if h >= floor - _INACTIVE_TOL:
         return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, 0.0)
 
     sup = ref > 0
     logref = np.where(sup, np.log(np.where(sup, ref, 1.0)), -np.inf)
-    lam, mu = 0.0, 4.0
-    prev_viol = math.inf
 
-    def al_value(xx: np.ndarray, lam: float, mu: float) -> float:
-        phi = floor - cond_entropy_of_array(xx, target, given)
-        t_eff = max(0.0, lam + mu * phi)
-        return kl_of_arrays(xx, ref) + (t_eff * t_eff - lam * lam) / (2.0 * mu)
-
-    for outer in range(max_outer):
-        eta = 1.0
-        fx = al_value(x, lam, mu)
-        for _ in range(max_inner):
-            phi = floor - cond_entropy_of_array(x, target, given)
-            t_eff = max(0.0, lam + mu * phi)
-            g = t_eff * _grad_neg_cond_entropy(x, target, given)
+    def solve(t: float, x: np.ndarray):
+        # majorize-minimize steps for KL(x || ref) - t H(target|given)
+        for _ in range(_MAX_STEPS):
             with np.errstate(divide="ignore"):
-                logx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-            accepted = False
-            while eta > 1e-13:
-                beta = eta / (1.0 + eta)
-                logbase = (1.0 - beta) * logx + beta * (logref - g)
-                logbase = np.where(sup, logbase, -np.inf)
-                finite = np.isfinite(logbase)
-                if not finite.any():
-                    break
-                mx = logbase[finite].max()
-                base = np.where(finite, np.exp(np.where(finite, logbase, 0.0) - mx), 0.0)
-                xn, _ = _ipf(base, cons, max_sweeps=4000, tol=1e-13)
-                fn = al_value(xn, lam, mu)
-                if fn <= fx + 1e-15:
-                    accepted = True
-                    break
-                eta *= 0.5
-            if not accepted:
-                break
+                logx = np.log(x)
+            logbase = (logref + t * (logx - _grad_neg_cond_entropy(x, target, given))) / (1 + t)
+            ok = np.isfinite(logbase)
+            base = np.where(ok, np.exp(np.where(ok, logbase, 0.0) - logbase[ok].max()), 0.0)
+            xn, res = _ipf(base, cons)
             moved = float(np.abs(xn - x).max())
             x = xn
-            if abs(fx - fn) < 1e-13 * max(1.0, abs(fn)) and moved < 1e-11:
-                fx = fn
+            if moved <= _STEP_TOL:
                 break
-            fx = fn
-            eta = min(eta * 2.0, 1e8)
-        phi = floor - cond_entropy_of_array(x, target, given)
-        lam = max(0.0, lam + mu * phi)
-        viol = max(0.0, phi)
-        if viol <= tol_entropy:
-            break
-        if viol > 0.5 * prev_viol:
-            mu *= 2.0
-        prev_viol = viol
+        return x, res, cond_entropy_of_array(x, target, given)
 
-    x, res = _ipf(x, cons, max_sweeps=4000, tol=1e-14)
-    h = cond_entropy_of_array(x, target, given)
-    return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, lam)
+    lo, h_lo, hi = 0.0, h, 1.0
+    while True:
+        x_hi, res_hi, h_hi = solve(hi, x)
+        if h_hi >= floor or h_hi - h_lo <= 1e-12:  # met, or out of reach
+            break
+        lo, h_lo, x = hi, h_hi, x_hi
+        hi *= 2.0
+    # bisect to complementary slackness 1e-12, or until t is resolved to rounding
+    while h_hi >= floor and max(hi, 1.0) * (h_hi - floor) > 1e-12 and hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        xm, rm, hm = solve(mid, x_hi)
+        if hm >= floor:
+            hi, x_hi, res_hi, h_hi = mid, xm, rm, hm
+        else:
+            lo = mid
+    return CouplingSolution(kl_of_arrays(x_hi, ref), x_hi, res_hi, h_hi - floor, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -283,3 +283,22 @@ class TestValidate:
         rc = main(["validate", "--instance", str(inst)])
         assert rc == 0
         assert "u_marginals_equal=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p_names, q_names", [
+        (("S", "U", "V"), ("S", "U", "Y")),   # axes differ between hypotheses
+        (("S", "X", "V"), ("S", "X", "V")),   # no U axis
+    ], ids=["axes_differ", "no_u_axis"])
+    def test_normalized_but_invalid_pair_is_json_error(self, tmp_path, capsys,
+                                                      p_names, q_names):
+        def record(names):
+            return {"axes": [{"name": n, "size": 2} for n in names], "probs": [0.125] * 8}
+
+        inst = tmp_path / "invalid.json"
+        inst.write_text(json.dumps({"p_suv": record(p_names), "q_suv": record(q_names)}),
+                        encoding="utf-8")
+        rc = main(["validate", "--instance", str(inst)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        rec = json.loads(captured.err.strip())
+        assert rec["error"] == "ValueError" and rec["message"]

@@ -3,6 +3,7 @@ and optimizer certificates."""
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -635,3 +636,73 @@ class TestOptimizerCertificates:
             x0 /= x0.sum()
             val = solve_coupling(problem, x0=x0).objective
             assert val == pytest.approx(base, abs=1e-7)
+
+
+def _seed11_draws(count=12):
+    """(pair, channel) draws of generator seed 11, in the order TestExponentE2
+    and the coupling benchmark take them."""
+    rng = np.random.default_rng(11)
+    return [(HypothesisPair(random_suv_joint(rng), random_suv_joint(rng)),
+             random_channel(rng, 2, 2)) for _ in range(count)]
+
+
+class TestEntropyFloorCertificates:
+    """KKT certificate of a floor-active E2 solve on axes (U, V, W): the floor
+    H(W|V) >= H_P(W|V) met, a positive multiplier t, complementary slackness,
+    and stationarity of KL(x || ref) - t H(W|V) over the marginal constraints."""
+
+    # the draws of seed 11, of the first 12, whose entropy floor binds; 4 and 5
+    # are the coupling benchmark's floor problems and TestExponentE2's first two
+    ACTIVE_DRAWS = (4, 5, 7, 10, 11)
+
+    @staticmethod
+    def stationarity_residual(x, ref, cons, t):
+        """Largest least-squares residual of log(x/ref) + t log x(W|V) on
+        supp(x) against the span of the marginal-constraint indicators."""
+        sup = x > 0
+        x_vw = x.sum(axis=0)
+        log_w_given_v = np.log(x_vw / x_vw.sum(axis=1, keepdims=True))[None, :, :]
+        grad = (np.log(np.where(sup, x, 1.0)) - np.log(np.where(sup, ref, 1.0))
+                + t * log_w_given_v)[sup]
+        columns = []
+        for axes, target in cons:
+            for cell in np.ndindex(np.shape(target)):
+                index = [slice(None)] * x.ndim
+                for axis, i in zip(axes, cell):
+                    index[axis] = i
+                indicator = np.zeros(x.shape)
+                indicator[tuple(index)] = 1.0
+                columns.append(indicator[sup])
+        span = np.array(columns).T
+        coef, *_ = np.linalg.lstsq(span, grad, rcond=None)
+        return float(np.abs(span @ coef - grad).max())
+
+    @pytest.mark.parametrize("draw", ACTIVE_DRAWS)
+    def test_kkt_certificate(self, draw):
+        pair, chan = _seed11_draws()[draw]
+        _, sol = exponent_e2_solution(0.0, pair, chan)
+        assert sol.entropy_slack >= 0
+        assert sol.multiplier > 0
+        assert sol.multiplier * sol.entropy_slack <= 1e-10
+        p_joint = attach_channel(pair.p.marginal(("U", "V")), chan)
+        ref = attach_channel(pair.q.marginal(("U", "V")), chan).probs
+        cons = [((0, 2), p_joint.marginal_array(("U", "W"))),
+                ((1,), p_joint.marginal_pmf("V").probs)]
+        assert self.stationarity_residual(sol.coupling, ref, cons, sol.multiplier) <= 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    def test_unreachable_floor_stops_below_it(self):
+        # H(W|V) <= log 2 for binary W, so a floor of log 2 + 0.1 cannot be met
+        rng = np.random.default_rng(3)
+        ref = rng.gamma(1, 1, (2, 2, 2))
+        ref /= ref.sum()
+        other = rng.gamma(1, 1, (2, 2, 2))
+        other /= other.sum()
+        cons = (((0, 2), other.sum(axis=1)), ((1,), other.sum(axis=(0, 2))))
+        problem = CouplingProblem(ref, cons, entropy_floor=((2,), (1,), LN2 + 0.1))
+        start = time.perf_counter()
+        sol = solve_coupling(problem)
+        assert time.perf_counter() - start < 5.0
+        assert math.isfinite(sol.objective)
+        assert sol.entropy_slack < 0
+        assert sol.residual < 1e-9
