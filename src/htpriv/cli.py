@@ -8,11 +8,12 @@ Usage:
 Experiments: example1, example2, frontier, zero_rate, simulate,
 counterexample.  Output is a CSV (UTF-8, LF line endings) whose first line is
 a versioned schema comment; the data is byte-identical for identical
-(config, seed).  Exit status 0 on success, 1 on runtime failure (with a
-single machine-parsable JSON error line on stderr and no partial CSV left
-behind), 2 on usage errors.  Degenerate regimes, such as a simulated scheme
-whose typical set is empty or a privacy estimate that fell back to the biased
-importance-sampling branch, print one JSON warning line on stderr each.
+(config, seed).  Exit status 0 on success, 1 on runtime failure or a
+``--param`` key the experiment does not read (with a single machine-parsable
+JSON error line on stderr and no partial CSV left behind), 2 on usage errors.
+Degenerate regimes, such as a simulated scheme whose typical set is empty or a
+privacy estimate that fell back to the biased importance-sampling branch,
+print one JSON warning line on stderr each.
 """
 
 from __future__ import annotations
@@ -36,8 +37,17 @@ from .probcore import (
     pmf_close,
 )
 
-EXPERIMENTS = ("example1", "example2", "frontier", "zero_rate", "simulate",
-               "counterexample")
+# the --param keys each experiment reads; any other key is an error
+PARAM_KEYS = {
+    "example1": ("p", "q", "r_step"),
+    "example2": ("n_max",),
+    "frontier": ("random_seeds", "structured_seeds", "w_sizes"),
+    "zero_rate": (),
+    "simulate": ("scheme", "n", "trials", "privacy", "delta", "eta", "rate_nats",
+                 "epsilon_star", "privacy_trials"),
+    "counterexample": ("epsilon_star", "n_list", "delta"),
+}
+EXPERIMENTS = tuple(PARAM_KEYS)
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -62,13 +72,17 @@ def _write_csv(path: str, schema: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _parse_params(items) -> dict:
+def _parse_params(experiment: str, items) -> dict:
     out = {}
     for item in items or ():
         if "=" not in item:
             raise ExperimentError(f"--param needs key=value, got {item!r}")
         k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
+        k = k.strip()
+        if k not in PARAM_KEYS[experiment]:
+            raise ExperimentError(f"experiment {experiment!r} takes no parameter {k!r}; "
+                                  f"it accepts {list(PARAM_KEYS[experiment])}")
+        out[k] = v.strip()
     return out
 
 
@@ -88,6 +102,8 @@ def _run_example1(args, params):
     p_list = _floats(params.get("p", "0.15,0.25,0.35"))
     q_list = _floats(params.get("q", "0,0.1"))
     r_step = float(params.get("r_step", "0.01"))
+    if not (math.isfinite(r_step) and r_step > 0):
+        raise ExperimentError(f"r_step must be finite and > 0, got {r_step!r}")
     rows = []
     for p in p_list:
         for q in q_list:
@@ -339,9 +355,8 @@ def main(argv=None) -> int:
             print(f"{key}={value}")
         return 0
 
-    params = None
     try:
-        params = _parse_params(args.param)
+        params = _parse_params(args.experiment, args.param)
         _RUNNERS[args.experiment](args, params)
     except Exception as e:  # noqa: BLE001 - single reporting point for the CLI
         if os.path.exists(args.out):

@@ -36,7 +36,6 @@ __all__ = [
     "is_typical",
     "joint_type",
     "empirical_cond_entropy",
-    "empirical_pmf",
     "type_counts",
     "typical_rows",
     "has_typical_sequence",
@@ -383,11 +382,6 @@ def star(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # types and typicality
 # ---------------------------------------------------------------------------
-
-def empirical_pmf(x: SequenceSample) -> Pmf:
-    counts = np.bincount(x.symbols, minlength=x.alphabet_size)
-    return Pmf(counts / x.n)
-
 
 def type_counts(seqs: np.ndarray, k: int) -> np.ndarray:
     """Letter counts of each sequence along the last axis of ``seqs`` over the

@@ -196,92 +196,91 @@ class CouplingSolution:
 
 _RESIDUAL_TOL = 1e-11   # worst marginal residual of a feasible answer
 _INACTIVE_TOL = 1e-9    # an entropy floor missed by less is inactive
+# an I-projection ends once every marginal is within _IPF_TOL, or after
+# _MAX_SWEEPS sweeps; a support problem whose residual is then above
+# _RESIDUAL_TOL is reported infeasible
+_IPF_TOL, _MAX_SWEEPS = 1e-14, 220000
 # a fixed-multiplier solve ends once no coordinate moves more than _STEP_TOL
 _STEP_TOL, _MAX_STEPS = 1e-14, 1000
 
 
-def _expand(arr: np.ndarray, axes: tuple[int, ...], ndim: int, shape) -> np.ndarray:
-    # broadcast a marginal tensor (indexed by `axes` in order) over the joint
-    order = np.argsort(axes)
-    sorted_arr = arr.transpose(order) if list(order) != list(range(len(axes))) else arr
-    target_shape = [1] * ndim
-    for a in sorted(axes):
-        target_shape[a] = shape[a]
-    return sorted_arr.reshape(target_shape)
+def _sum_to(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Marginal of ``x`` on the positions ``axes``, every other axis kept at size 1."""
+    return x.sum(axis=tuple(i for i in range(x.ndim) if i not in axes), keepdims=True)
 
 
-def _ipf(base: np.ndarray, constraints, max_sweeps: int = 20000,
-         tol: float = 1e-14) -> tuple[np.ndarray, float]:
-    """Cyclic I-projection of ``base`` onto the given marginal constraints.
+def _broadcast_constraints(ref: np.ndarray, constraints) -> list:
+    """The marginal constraints as (axes, target) pairs with the axes in position
+    order and each target shaped to broadcast over ``ref``.
 
-    Multiplicative per-block rescaling; the limit is the KL projection of
-    ``base`` onto the intersection when it is nonempty within supp(base).
-    Returns (point, worst final residual).
+    Raises ValueError on a malformed constraint and
+    :class:`InfeasibleConstraintsError` when a target is not a pmf or two
+    targets disagree on their shared axes.
     """
-    x = base.copy()
-    nd = x.ndim
-    worst = math.inf
-    for sweep in range(max_sweeps):
-        worst = 0.0
-        for axes, tgt in constraints:
-            cur = marginal_of_array(x, axes)
-            worst = max(worst, float(np.abs(cur - tgt).max()))
-            scale = np.divide(tgt, cur, out=np.zeros_like(tgt), where=cur > 0)
-            x *= _expand(scale, axes, nd, x.shape)
-        if worst < tol:
-            break
-    # final residual after the last rescale
-    res = max(
-        float(np.abs(marginal_of_array(x, axes) - tgt).max()) for axes, tgt in constraints
-    )
-    return x, res
-
-
-def _check_consistency(constraints) -> None:
+    cons = []
     for axes, tgt in constraints:
-        s = float(np.asarray(tgt).sum())
+        axes, tgt = tuple(axes), np.asarray(tgt, dtype=float)
+        if len(set(axes)) != len(axes) or not all(0 <= a < ref.ndim for a in axes):
+            raise ValueError(f"constraint axes {axes} are not distinct positions "
+                             f"of a {ref.ndim}-axis reference")
+        sizes = tuple(ref.shape[a] for a in axes)
+        if tgt.shape != sizes:
+            raise ValueError(f"constraint on axes {axes} has shape {tgt.shape}, "
+                             f"not the reference sizes {sizes}")
+        s = float(tgt.sum())
         if abs(s - 1.0) > 1e-9:
             raise InfeasibleConstraintsError(f"constraint on axes {axes} sums to {s}")
-        if np.asarray(tgt).min() < -1e-12:
+        if tgt.min() < -1e-12:
             raise InfeasibleConstraintsError(f"constraint on axes {axes} has negative mass")
-    for i in range(len(constraints)):
-        for j in range(i + 1, len(constraints)):
-            ai, ti = constraints[i]
-            aj, tj = constraints[j]
+        shape = [ref.shape[a] if a in axes else 1 for a in range(ref.ndim)]
+        cons.append((tuple(sorted(axes)), tgt.transpose(np.argsort(axes)).reshape(shape)))
+    for i, (ai, ti) in enumerate(cons):
+        for aj, tj in cons[i + 1:]:
             common = tuple(a for a in ai if a in aj)
-            if not common:
-                continue
-            mi = marginal_of_array(np.asarray(ti), tuple(ai.index(a) for a in common))
-            mj = marginal_of_array(np.asarray(tj), tuple(aj.index(a) for a in common))
-            if np.abs(mi - mj).max() > 1e-9:
+            if common and np.abs(_sum_to(ti, common) - _sum_to(tj, common)).max() > 1e-9:
                 raise InfeasibleConstraintsError(
                     f"constraints on axes {ai} and {aj} disagree on shared axes {common}"
                 )
+    return cons
+
+
+def _ipf(base: np.ndarray, cons) -> tuple[np.ndarray, float]:
+    """Cyclic I-projection of ``base`` onto broadcast marginal constraints.
+
+    Multiplicative per-block rescaling; the limit is the KL projection of
+    ``base`` onto the intersection when it is nonempty within supp(base).
+    Stops once a sweep starts within ``_IPF_TOL`` of every target, or after
+    ``_MAX_SWEEPS`` sweeps.  Returns (point, worst final residual).
+    """
+    x = base.copy()
+    for _ in range(_MAX_SWEEPS):
+        worst = 0.0
+        for axes, tgt in cons:
+            cur = _sum_to(x, axes)
+            worst = max(worst, float(np.abs(cur - tgt).max()))
+            x *= np.divide(tgt, cur, out=np.zeros_like(tgt), where=cur > 0)
+        if worst < _IPF_TOL:
+            break
+    # final residual after the last rescale
+    return x, max(float(np.abs(_sum_to(x, axes) - tgt).max()) for axes, tgt in cons)
 
 
 def _grad_neg_cond_entropy(x: np.ndarray, target, given) -> np.ndarray:
     """Gradient of -H(target|given) wrt the joint: log x(target|given), broadcast."""
-    axes = tuple(sorted(target + given))
-    m = marginal_of_array(x, axes)
-    if given:
-        gpos = tuple(axes.index(a) for a in given)
-        tpos = tuple(i for i in range(len(axes)) if i not in gpos)
-        mg = m.sum(axis=tpos, keepdims=True)
-    else:
-        mg = np.ones(())
+    m = _sum_to(x, target + given)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lc = np.log(m) - np.log(mg)
-    lc = np.where(np.isfinite(lc), lc, 0.0)
-    return _expand(lc, axes, x.ndim, x.shape)
+        lc = np.log(m) - (np.log(m.sum(axis=target, keepdims=True)) if given else 0.0)
+    return np.where(np.isfinite(lc), lc, 0.0)
 
 
 def solve_coupling(problem: CouplingProblem,
                    x0: np.ndarray | None = None) -> CouplingSolution:
     """Solve the constrained KL minimization.
 
-    With marginal constraints only this is a cyclic I-projection of the
-    reference (from ``x0`` when given), which converges geometrically and
-    lands exactly on the constraint set.
+    Each marginal target is checked once and reshaped to broadcast over the
+    reference.  With marginal constraints only the answer is the cyclic
+    I-projection of the reference (from ``x0`` when given), which converges
+    geometrically and lands on the constraint set.
 
     An entropy floor that the I-projection misses is active.  For a
     multiplier t >= 0 the Lagrangian KL(x || ref) - t H(target|given) is
@@ -296,13 +295,14 @@ def solve_coupling(problem: CouplingProblem,
     raising H the floor is out of reach, and the last point is returned with
     its negative ``entropy_slack``.
 
-    Infeasible support (constraints force mass where the reference is zero)
-    yields objective +inf; mutually inconsistent constraints raise
-    :class:`InfeasibleConstraintsError`.
+    A marginal residual still above 1e-11 after the I-projection's 220000
+    sweeps is taken as infeasible support (the constraints force mass where
+    the reference is zero) and yields objective +inf.  Mutually inconsistent
+    targets raise :class:`InfeasibleConstraintsError`; a repeated or
+    out-of-range axis, or a target of the wrong shape, raises ValueError.
     """
     ref = np.asarray(problem.reference, dtype=float)
-    cons = [(tuple(a), np.asarray(t, dtype=float)) for a, t in problem.marginal_constraints]
-    _check_consistency(cons)
+    cons = _broadcast_constraints(ref, problem.marginal_constraints)
 
     start = ref if x0 is None else np.where(ref > 0, x0, 0.0)
     if x0 is not None:
@@ -313,15 +313,7 @@ def solve_coupling(problem: CouplingProblem,
             start = start / s
     x, res = _ipf(start, cons)
     if res > _RESIDUAL_TOL:
-        # distinguish support-infeasibility from slow convergence: the
-        # constraint set is nonempty (checked above on shared marginals up to
-        # pairwise consistency), so a stuck residual means the support of the
-        # reference cannot carry the required marginals.  Iterates stay in the
-        # multiplicative family, so continuing from x is equivalent.
-        x2, res2 = _ipf(x, cons, max_sweeps=200000)
-        if res2 > _RESIDUAL_TOL:
-            return CouplingSolution(math.inf, None, res2, 0.0, 0.0)
-        x, res = x2, res2
+        return CouplingSolution(math.inf, None, res, 0.0, 0.0)
 
     if problem.entropy_floor is None:
         return CouplingSolution(kl_of_arrays(x, ref), x, res, 0.0, 0.0)
@@ -549,12 +541,14 @@ class FrontierConfig:
     random_seeds: int = 200
     structured_seeds: int = 201
     pair_grid: int = 51              # per-axis grid for binary-output channels
-    improve_step: float = 0.01
-    improve_shrink: float = 0.5
-    improve_floor: float = 1e-4
-    improve_max_passes: int = 200
     rng_seed: int = 0
     w_sizes: tuple[int, ...] | None = None   # default 1 .. |U|+2
+
+
+# hill climbing: a coordinate step starts at _IMPROVE_STEP and shrinks by
+# _IMPROVE_SHRINK after a pass with no gain, until it drops below
+# _IMPROVE_FLOOR or _IMPROVE_MAX_PASSES passes have run
+_IMPROVE_STEP, _IMPROVE_SHRINK, _IMPROVE_FLOOR, _IMPROVE_MAX_PASSES = 0.01, 0.5, 1e-4, 200
 
 
 def _structured_channels(nu: int, nw: int, count: int, pair_grid: int) -> list[np.ndarray]:
@@ -639,9 +633,9 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
         if weights.sum() <= 0:
             return out
         best, best_rows = point, rows
-        step = cfg.improve_step
+        step = _IMPROVE_STEP
         passes = 0
-        while step >= cfg.improve_floor and passes < cfg.improve_max_passes:
+        while step >= _IMPROVE_FLOOR and passes < _IMPROVE_MAX_PASSES:
             passes += 1
             improved = False
             for u in range(nu):
@@ -658,7 +652,7 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
                             best, best_rows = cand, trial
                             improved = True
             if not improved:
-                step *= cfg.improve_shrink
+                step *= _IMPROVE_SHRINK
         out.append(best)
         return out
 

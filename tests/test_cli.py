@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from htpriv import instances
-from htpriv.cli import main, validate_instance
+from htpriv.cli import PARAM_KEYS, main, validate_instance
 from htpriv.probcore import JointPmf, binary_entropy
 
 
@@ -302,3 +307,61 @@ class TestValidate:
         assert captured.out == ""
         rec = json.loads(captured.err.strip())
         assert rec["error"] == "ValueError" and rec["message"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_run_commands():
+    """(experiment, --param keys) of each `htpriv run` example in README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
+    out = []
+    for line in text.splitlines():
+        if not line.startswith("htpriv run") or "NAME" in line:
+            continue
+        argv = shlex.split(line.split("#")[0])
+        experiment = argv[argv.index("--experiment") + 1]
+        keys = [argv[i + 1].split("=", 1)[0] for i, a in enumerate(argv) if a == "--param"]
+        out.append((experiment, keys))
+    return out
+
+
+class TestParams:
+    @pytest.mark.parametrize("r_step", ["0", "-0.1", "nan", "inf"])
+    def test_bad_r_step_fails_without_hanging(self, tmp_path, r_step):
+        # a step of 0 or below never ends the r sweep, so run it with a timeout
+        out = tmp_path / "ex1.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "htpriv.cli", "run", "--experiment", "example1",
+             "--out", str(out), "--param", f"r_step={r_step}"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert not out.exists()
+        rec = json.loads(proc.stderr.strip())
+        assert rec["error"] == "ExperimentError" and "r_step" in rec["message"]
+
+    @pytest.mark.parametrize("experiment, params", [
+        ("simulate", ["shceme=likelihood", "n=4", "trials=100"]),
+        ("zero_rate", ["n=4"]),
+    ], ids=["simulate", "zero_rate"])
+    def test_unknown_key_fails(self, tmp_path, capsys, experiment, params):
+        inst = tmp_path / "zr.json"
+        instances.save_instance(instances.zero_rate_binary_pair(), str(inst))
+        out = tmp_path / "out.csv"
+        argv = ["run", "--experiment", experiment, "--instance", str(inst), "--out", str(out)]
+        rc = main(argv + [a for p in params for a in ("--param", p)])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        unknown = params[0].split("=")[0]
+        assert rec["error"] == "ExperimentError" and repr(unknown) in rec["message"]
+
+    def test_readme_commands_use_accepted_keys(self):
+        commands = readme_run_commands()
+        assert {e for e, _ in commands} >= {"example1", "frontier", "simulate",
+                                            "counterexample"}
+        for experiment, keys in commands:
+            assert set(keys) <= set(PARAM_KEYS[experiment]), (experiment, keys)

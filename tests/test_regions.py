@@ -3,6 +3,7 @@ and optimizer certificates."""
 
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -41,7 +42,7 @@ from htpriv.regions import (
     zero_rate_privacy,
 )
 
-from conftest import MASTER_SEED, random_channel, random_joint, random_suv_joint
+from conftest import MASTER_SEED, random_channel, random_joint, random_pmf, random_suv_joint
 
 LN2 = math.log(2.0)
 
@@ -706,3 +707,46 @@ class TestEntropyFloorCertificates:
         assert math.isfinite(sol.objective)
         assert sol.entropy_slack < 0
         assert sol.residual < 1e-9
+
+
+class TestConstraintForm:
+    """solve_coupling takes marginal constraints with axes in any order, and
+    rejects malformed ones with a ValueError that names their axes."""
+
+    @pytest.mark.parametrize("axes, target", [
+        ((0,), np.array([0.2, 0.3, 0.5])),        # target longer than the axis
+        ((0, 0), np.full((2, 2), 0.25)),          # repeated axis
+        ((2,), np.array([0.5, 0.5])),             # axis outside the reference
+    ], ids=["wrong_shape", "repeated_axis", "axis_out_of_range"])
+    def test_malformed_constraint_is_value_error(self, axes, target):
+        ref = np.full((2, 2), 0.25)
+        problem = CouplingProblem(ref, ((axes, target),))
+        with pytest.raises(ValueError, match=re.escape(f"axes {axes}")):
+            solve_coupling(problem)
+
+    @staticmethod
+    def mixed_order_problem():
+        rng = np.random.default_rng(MASTER_SEED + 30)
+        ref = random_joint(rng, (2, 2, 3)).probs
+        t = random_joint(rng, (2, 3)).probs        # target on axes (0, 2)
+        p1 = random_pmf(rng, 2).probs
+        return ref, t, p1
+
+    def test_axis_order_gives_the_same_coupling(self):
+        ref, t, p1 = self.mixed_order_problem()
+        in_order = solve_coupling(CouplingProblem(ref, (((0, 2), t), ((1,), p1))))
+        reversed_ = solve_coupling(CouplingProblem(ref, (((2, 0), t.T), ((1,), p1))))
+        assert np.array_equal(in_order.coupling, reversed_.coupling)
+        assert in_order.objective == reversed_.objective
+        assert in_order.residual == reversed_.residual
+        assert np.abs(in_order.coupling.sum(axis=1) - t).max() < 1e-12
+
+    def test_mixed_order_overlap_is_checked(self):
+        ref, t, p1 = self.mixed_order_problem()
+        # (V1, V0) targets: consistent with t on axis 0, then not
+        good = np.outer(p1, t.sum(axis=1))
+        sol = solve_coupling(CouplingProblem(ref, (((2, 0), t.T), ((1, 0), good))))
+        assert sol.residual < 1e-11
+        bad = np.outer(p1, t.sum(axis=1)[::-1])
+        with pytest.raises(InfeasibleConstraintsError, match=r"shared axes \(0,\)"):
+            solve_coupling(CouplingProblem(ref, (((2, 0), t.T), ((1, 0), bad))))
