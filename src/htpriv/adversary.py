@@ -393,8 +393,12 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
         # biased mode reports equivocation only: P(s | m, v) = prod_i
         # P(s_i | v_i) P(m | s, v) / P(m | v), each conditional message
         # probability the mean of law[u, m] over k_is u-blocks drawn letter by
-        # letter from P(u_i | s_i, v_i), respectively P(u_i | v_i)
+        # letter from P(u_i | s_i, v_i), respectively P(u_i | v_i); each of
+        # the two draws its u-blocks in sample order from its own generator,
+        # so the estimate does not depend on the chunk size
         k_is = 512
+        gens = (rng, np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(hypothesis, 1))))
         p_sv = a.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):   # (s, v) cells never drawn
             u_given_sv = (a / p_sv[:, None, :]).transpose(0, 2, 1)
@@ -403,9 +407,10 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
         eq_samples = -log_s_given_v[s_seq, v_seq].sum(axis=1)
         for rows in chunk_rows(trials, k_is * n * nu):
             means = []
-            for cond in (u_given_sv[s_seq[rows], v_seq[rows]], u_given_v[v_seq[rows]]):
+            for gen, cond in zip(gens, (u_given_sv[s_seq[rows], v_seq[rows]],
+                                        u_given_v[v_seq[rows]])):
                 probs = np.repeat(cond[:, None], k_is, axis=1).reshape(-1, nu)
-                us = inverse_cdf(probs, rng.random(len(probs))).reshape(-1, k_is, n)
+                us = inverse_cdf(probs, gen.random(len(probs))).reshape(-1, k_is, n)
                 means.append(model.law[block_index(us, nu), msgs[rows, None]].mean(axis=1))
             if not np.all(means):
                 raise RuntimeError(f"no u-block of the {k_is} drawn for a sample sends its "

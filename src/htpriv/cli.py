@@ -10,7 +10,9 @@ counterexample.  Output is a CSV (UTF-8, LF line endings) whose first line is
 a versioned schema comment; the data is byte-identical for identical
 (config, seed).  Exit status 0 on success, 1 on runtime failure or a
 ``--param`` key the experiment does not read (with a single machine-parsable
-JSON error line on stderr and no partial CSV left behind), 2 on usage errors.
+JSON error line on stderr; the file at ``--out`` is left as it was, since the
+CSV is written to a temp file beside it and moved into place only when
+complete), 2 on usage errors.
 Degenerate regimes, such as a simulated scheme whose typical set is empty or a
 privacy estimate that fell back to the biased importance-sampling branch,
 print one JSON warning line on stderr each.
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import adversary, instances, regions, schemes
 from .probcore import (
+    Channel,
     JointPmf,
     LN2,
     Pmf,
@@ -44,7 +47,7 @@ PARAM_KEYS = {
     "frontier": ("random_seeds", "structured_seeds", "w_sizes"),
     "zero_rate": (),
     "simulate": ("scheme", "n", "trials", "privacy", "delta", "eta", "rate_nats",
-                 "epsilon_star", "privacy_trials"),
+                 "epsilon_star", "privacy_trials", "w_channel"),
     "counterexample": ("epsilon_star", "n_list", "delta"),
 }
 EXPERIMENTS = tuple(PARAM_KEYS)
@@ -65,11 +68,20 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, schema: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# htpriv-csv schema={schema} v1\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    """Write the CSV to a sibling temp file and move it onto ``path``; a
+    failure removes the temp file only, so ``path`` is never left partial."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(f"# htpriv-csv schema={schema} v1\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _parse_params(experiment: str, items) -> dict:
@@ -92,6 +104,18 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
+
+
+def _channel(text: str, u_size: int) -> Channel:
+    """A |U|-row stochastic matrix written row by row, rows split by ";" and
+    entries by ",", such as ``0.9,0.1;0.1,0.9``."""
+    rows = [_floats(r) for r in text.split(";")]
+    if len(rows) != u_size or len({len(r) for r in rows}) != 1:
+        raise ExperimentError(f"w_channel must be {u_size} rows of equal length, got {text!r}")
+    try:
+        return Channel(np.array(rows))
+    except ValueError as e:
+        raise ExperimentError(f"w_channel {text!r} is not row-stochastic: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +225,10 @@ def _run_simulate(args, params):
         eta=float(params.get("eta", str(schemes.ETA_DEFAULT))),
         rate_nats=float(params.get("rate_nats", "1.0")),
         epsilon_star=float(params.get("epsilon_star", "0.0")),
+        w_channel=_channel(params["w_channel"], pair.u_size()) if "w_channel" in params else None,
     )
+    if cfg.w_channel is not None and scheme != "likelihood":
+        raise ExperimentError(f"w_channel applies to the likelihood scheme only, not {scheme!r}")
     # the likelihood encoder tests u-typicality at delta' = delta/2
     typ_delta = cfg.delta_prime if scheme == "likelihood" else cfg.delta
     if not has_typical_sequence(pair.p.marginal_pmf("U").probs, n, typ_delta):
@@ -359,11 +386,6 @@ def main(argv=None) -> int:
         params = _parse_params(args.experiment, args.param)
         _RUNNERS[args.experiment](args, params)
     except Exception as e:  # noqa: BLE001 - single reporting point for the CLI
-        if os.path.exists(args.out):
-            try:
-                os.remove(args.out)
-            except OSError:
-                pass
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)
         return 1

@@ -40,6 +40,7 @@ __all__ = [
     "typical_rows",
     "has_typical_sequence",
     "inverse_cdf",
+    "choice_cdf",
     "block_index",
     "block_digits",
     "all_sequences",
@@ -416,6 +417,26 @@ def inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
     return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
+def choice_cdf(p) -> np.ndarray:
+    """The cdf that ``Generator.choice(len(p), p=p)`` inverts: from the same
+    uniforms, ``choice_cdf(p).searchsorted(rng.random(shape), side="right")``
+    is that call's draw.  Rejects what ``choice`` rejects: a ``p`` that is
+    not 1-d, has a negative or non-finite entry, or does not sum to 1 within
+    the square root of the float64 epsilon."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probabilities must be a nonempty 1-d array")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(math.fsum(p) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def is_typical(x: SequenceSample, p: Pmf, delta: float) -> bool:

@@ -516,6 +516,18 @@ class TestMcBiasedBranch:
         exact = exact_equivocation(model, pair, n, 0) / n
         assert abs(rep.equivocation_per_letter - exact) <= 4 * rep.equivocation_stderr
 
+    def test_independent_of_chunk_size(self, monkeypatch):
+        # at 2^12 cells a chunk holds one sample, at 2^20 it holds 128
+        pair = instances.zero_rate_binary_pair()
+        model = zero_rate_model(pair.p.marginal_pmf("U"), 8, delta=0.15)
+        reports = []
+        for cells in (2 ** 12, 2 ** 20):
+            monkeypatch.setattr(schemes, "CHUNK_CELLS", cells)
+            reports.append(mc_privacy_estimate(model, pair, 8, 0, trials=200, seed=1,
+                                               max_joint_cells=4))
+        assert reports[0].biased
+        assert reports[0] == reports[1]
+
     def test_message_no_draw_sends_raises(self):
         # S = U and full disclosure: P(m | v^10) = 2^-10, so the 512 draws from
         # P(u | v) almost never send m, and no number is made up for it

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from htpriv import instances
+from htpriv import instances, schemes
 from htpriv.cli import PARAM_KEYS, main, validate_instance
-from htpriv.probcore import JointPmf, binary_entropy
+from htpriv.probcore import Channel, JointPmf, binary_entropy
 
 
 def read_rows(path):
@@ -206,6 +206,55 @@ class TestSimulateAndZeroRate:
             assert 0.0 <= float(p["equivocation_bits_per_letter"]) <= 1.0
 
 
+    def simulate_likelihood(self, tmp_path, name, *params):
+        inst = tmp_path / "ex1.json"
+        instances.save_instance(instances.example1_pair(0.2, 0.0), str(inst))
+        out = tmp_path / name
+        rc = main(["run", "--experiment", "simulate", "--instance", str(inst), "--out", str(out),
+                   "--seed", "3", "--param", "scheme=likelihood", "--param", "n=6",
+                   "--param", "trials=300", "--param", "delta=0.3"]
+                  + [a for p in params for a in ("--param", p)])
+        return rc, out
+
+    def test_identity_w_channel_is_the_default(self, tmp_path):
+        rc, default = self.simulate_likelihood(tmp_path, "default.csv")
+        assert rc == 0
+        rc, identity = self.simulate_likelihood(tmp_path, "identity.csv", "w_channel=1,0;0,1")
+        assert rc == 0
+        assert identity.read_bytes() == default.read_bytes()
+
+    def test_noisy_w_channel_runs_likelihood_scheme(self, tmp_path):
+        rc, out = self.simulate_likelihood(tmp_path, "noisy.csv", "w_channel=0.9,0.1;0.1,0.9")
+        assert rc == 0
+        header, rows = read_rows(out)
+        stats = dict(zip(header, rows[0]))
+        assert stats["scheme"] == "likelihood"
+        cfg = schemes.SchemeConfig(scheme="likelihood", delta=0.3,
+                                   w_channel=Channel([[0.9, 0.1], [0.1, 0.9]]))
+        want = schemes.run_trials(cfg, instances.example1_pair(0.2, 0.0), 6, 300, 3)
+        assert (int(stats["type1_errors"]), int(stats["type2_errors"])) == \
+            (want.type1_errors, want.type2_errors)
+        rc, default = self.simulate_likelihood(tmp_path, "default.csv")
+        assert rc == 0 and default.read_bytes() != out.read_bytes()
+
+    @pytest.mark.parametrize("scheme, value", [
+        ("likelihood", "1,0;0"), ("likelihood", "1,0;0,1;0,1"),
+        ("likelihood", "0.5,0.6;0,1"), ("likelihood", "1.5,-0.5;0,1"),
+        ("zero_rate", "1,0;0,1"),
+    ], ids=["ragged", "rows", "sum", "negative", "not_likelihood"])
+    def test_bad_w_channel_fails(self, tmp_path, capsys, scheme, value):
+        inst = tmp_path / "ex1.json"
+        instances.save_instance(instances.example1_pair(0.2, 0.0), str(inst))
+        out = tmp_path / "bad.csv"
+        rc = main(["run", "--experiment", "simulate", "--instance", str(inst), "--out", str(out),
+                   "--param", f"scheme={scheme}", "--param", "trials=100",
+                   "--param", f"w_channel={value}"])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ExperimentError" and "w_channel" in rec["message"]
+
+
 class TestCounterexampleExperiment:
     def test_counterexample_rows(self, tmp_path):
         inst = tmp_path / "ce.json"
@@ -236,6 +285,28 @@ class TestErrorHandling:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         rec = json.loads(err)
         assert "error" in rec and "message" in rec
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "example1", "--param", "r_stp=0.1"],
+        ["--experiment", "frontier", "--instance", "missing.json"],
+    ], ids=["unknown_key", "missing_instance"])
+    def test_failed_run_keeps_existing_out(self, tmp_path, capsys, argv):
+        out = tmp_path / "prev.csv"
+        out.write_bytes(b"# an earlier result\n1,2\n")
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert main(["run", *argv, "--out", str(out)]) == 1
+        assert out.read_bytes() == b"# an earlier result\n1,2\n"
+        assert os.listdir(tmp_path) == ["prev.csv"]
+        json.loads(capsys.readouterr().err.strip())
+
+    def test_successful_run_replaces_existing_out(self, tmp_path):
+        out, fresh = tmp_path / "prev.csv", tmp_path / "fresh.csv"
+        out.write_bytes(b"# an earlier result\n")
+        argv = ["run", "--experiment", "example1", "--param", "r_step=0.1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv + ["--out", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "prev.csv"]
 
     def test_error_record_is_single_json_line(self, tmp_path, capsys):
         out = tmp_path / "y.csv"

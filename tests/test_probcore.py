@@ -13,6 +13,7 @@ from htpriv.probcore import (
     SequenceSample,
     SupportMismatchError,
     binary_entropy,
+    choice_cdf,
     conditional_entropy,
     conditional_mutual_information,
     all_sequences,
@@ -173,6 +174,35 @@ class TestTypicality:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             joint_type(SequenceSample([0, 1], 2), SequenceSample([0, 1, 0], 2))
+
+
+class TestChoiceCdf:
+    def test_inverts_to_the_choice_draw(self):
+        # with zero entries, which choice never draws
+        rng = np.random.default_rng(MASTER_SEED + 11)
+        for k in (1, 2, 5, 9):
+            p = random_pmf(rng, k).probs.copy()
+            p[rng.random(k) < 0.3] = 0.0
+            p = p / p.sum() if p.sum() > 0 else np.eye(k)[0]
+            seed = int(rng.integers(2 ** 32))
+            want = np.random.default_rng(seed).choice(k, size=(40, 7), p=p)
+            got = choice_cdf(p).searchsorted(np.random.default_rng(seed).random((40, 7)),
+                                             side="right")
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [np.inf, 0.0],
+                                   [0.5, 0.49], [[0.5, 0.5]], []],
+                             ids=["negative", "nan", "inf", "sum", "2d", "empty"])
+    def test_rejects_what_choice_rejects(self, p):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(max(np.size(p), 1), p=p)
+        with pytest.raises(ValueError):
+            choice_cdf(p)
+
+    def test_accepts_sum_within_choice_tolerance(self):
+        p = np.array([0.5, 0.5 + 1e-9])
+        np.random.default_rng(0).choice(2, p=p)
+        assert choice_cdf(p)[-1] == 1.0
 
 
 class TestRandomizedInvariants:

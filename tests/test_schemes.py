@@ -1,11 +1,12 @@
 """Coding schemes: construction contracts, hand-checked toys, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from htpriv import instances
+from htpriv import instances, schemes
 from htpriv.probcore import (
     Channel,
     JointPmf,
@@ -20,6 +21,7 @@ from htpriv.schemes import (
     CodebookSizeError,
     LikelihoodSetup,
     SchemeConfig,
+    TrialStats,
     build_codebook,
     likelihood_encode,
     likelihood_law,
@@ -413,6 +415,65 @@ class TestRunTrials:
         # alpha >= epsilon* - typicality slack
         assert stats.alpha_hat > 0.25
         assert stats.alpha_hat < 0.6
+
+
+def one_shot_trials(config, pair, n, trials, seed) -> TrialStats:
+    """The trial runner with every draw made at once: under hypothesis h one
+    ``choice`` call draws every letter of every trial, then one uniform per
+    trial selects its message, and the scheme runs on all trials in one call."""
+    scheme = make_scheme(config, pair, n, seed)
+    accepted = []
+    for hyp in (0, 1):
+        juv = pair.uv_law(hyp)
+        nv = juv.shape[1]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(hyp, 0)))
+        flat = rng.choice(juv.size, size=(trials, n), p=juv.ravel())
+        codes = sample_codes(scheme.law, flat // nv, rng.random(trials))
+        accepted.append(int(scheme.accepts(codes, flat % nv).sum()))
+    t1, t2 = trials - accepted[0], accepted[1]
+    return TrialStats(trials, t1, t2, t1 / trials, t2 / trials,
+                      wilson_interval(t1, trials), wilson_interval(t2, trials))
+
+
+# the typicality runs span several chunks at every chunk size tested (at most
+# 2^20 / (2 * 8) = 65536 trials a chunk), the likelihood run at 2^10 cells only
+STREAM_CASES = {
+    "zero_rate": (SchemeConfig(scheme="zero_rate", delta=0.15),
+                  instances.zero_rate_binary_pair(), 8, 70_000),
+    "timeshare": (SchemeConfig(scheme="timeshare", delta=0.2, epsilon_star=0.25),
+                  instances.counterexample_pair(), 8, 70_000),
+    "likelihood": (SchemeConfig(scheme="likelihood", delta=0.3, rate_nats=1.0,
+                                w_channel=Channel([[0.9, 0.1], [0.1, 0.9]])),
+                   instances.example1_pair(0.2, 0.0), 6, 300),
+}
+
+
+class TestStreamedDraws:
+    @pytest.mark.parametrize("cells", [2 ** 10, 2 ** 18, 2 ** 20])
+    @pytest.mark.parametrize("scheme", list(STREAM_CASES))
+    def test_equals_one_shot_stream(self, monkeypatch, scheme, cells):
+        config, pair, n, trials = STREAM_CASES[scheme]
+        monkeypatch.setattr(schemes, "CHUNK_CELLS", cells)
+        for seed in (1, 7, 13):
+            assert run_trials(config, pair, n, trials, seed) == \
+                one_shot_trials(config, pair, n, trials, seed)
+
+    @pytest.mark.parametrize("scheme, pair, config", [
+        ("zero_rate", instances.zero_rate_binary_pair(),
+         SchemeConfig(scheme="zero_rate", delta=0.15)),
+        ("timeshare", instances.counterexample_pair(),
+         SchemeConfig(scheme="timeshare", delta=0.2, epsilon_star=0.25)),
+    ], ids=["zero_rate", "timeshare"])
+    def test_memory_does_not_grow_with_trials(self, scheme, pair, config):
+        # the one-shot draws of 100000 trials at n=16 peak near 38 MiB
+        run_trials(config, pair, 16, 10, seed=13)        # warm up lazy imports
+        tracemalloc.start()
+        try:
+            run_trials(config, pair, 16, 100_000, seed=13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestTimeshareContainment:
