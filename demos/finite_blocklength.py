@@ -26,7 +26,6 @@ from htpriv.schemes import (
     min_entropy_decode,
     run_trials,
     sample_codes,
-    unrank_count_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -58,8 +57,8 @@ code = sample_codes(scheme.law, u, np.random.default_rng(7).random(1))
 label = scheme.law.label(code[0])
 print(f"message: {label}")
 if label != "error":
-    _, t, _, b = label
-    print(f"declared joint type of (u, w):\n{unrank_count_matrix(t, (2, 2), n)}")
+    _, counts, _, b = label
+    print(f"joint type counts of (u, w), rows u and columns w:\n{np.reshape(counts, (2, 2))}")
     # batched decoder: one (bin, v-block) pair here; -1 means no candidate
     jhat = min_entropy_decode(cb, np.array([b]), v, delta_hat=0.6)[0]
     decision = 0 if scheme.accepts(code, v)[0] else 1

@@ -13,9 +13,9 @@ a versioned schema comment; the data is byte-identical for identical
 JSON error line on stderr; the file at ``--out`` is left as it was, since the
 CSV is written to a temp file beside it and moved into place only when
 complete), 2 on usage errors.
-Degenerate regimes, such as a simulated scheme whose typical set is empty or a
-privacy estimate that fell back to the biased importance-sampling branch,
-print one JSON warning line on stderr each.
+Degenerate regimes, such as a simulated or counterexample scheme whose typical
+set is empty at some n or a privacy estimate that fell back to the biased
+importance-sampling branch, print one JSON warning line on stderr each.
 """
 
 from __future__ import annotations
@@ -161,6 +161,14 @@ def _run_example2(args, params):
     _write_csv(args.out, "example2", header, rows)
 
 
+def _warn_empty_typical_set(pair, n: int, delta: float) -> None:
+    """One JSON warning line on stderr when no u-block of length n is
+    delta-typical, so the scheme sends only the error message."""
+    if not has_typical_sequence(pair.p.marginal_pmf("U").probs, n, delta):
+        print(json.dumps({"warning": "empty_typical_set", "n": n, "delta": delta}),
+              file=sys.stderr)
+
+
 def _require_instance(args):
     if not args.instance:
         raise ExperimentError(f"experiment {args.experiment!r} needs --instance")
@@ -230,10 +238,7 @@ def _run_simulate(args, params):
     if cfg.w_channel is not None and scheme != "likelihood":
         raise ExperimentError(f"w_channel applies to the likelihood scheme only, not {scheme!r}")
     # the likelihood encoder tests u-typicality at delta' = delta/2
-    typ_delta = cfg.delta_prime if scheme == "likelihood" else cfg.delta
-    if not has_typical_sequence(pair.p.marginal_pmf("U").probs, n, typ_delta):
-        print(json.dumps({"warning": "empty_typical_set", "n": n, "delta": typ_delta}),
-              file=sys.stderr)
+    _warn_empty_typical_set(pair, n, cfg.delta_prime if scheme == "likelihood" else cfg.delta)
     stats = schemes.run_trials(cfg, pair, n, trials, args.seed)
     rows = [(
         "trials", scheme, n, trials, args.seed, stats.type1_errors,
@@ -276,6 +281,8 @@ def _run_counterexample(args, params):
     n_list = _ints(params.get("n_list", "2,4,6"))
     delta = float(params.get("delta", "0.1"))
     points = adversary.counterexample_curve(pair, eps, n_list, delta=delta)
+    for n in n_list:
+        _warn_empty_typical_set(pair, n, delta)
     rows = [
         (pt.n, pt.alpha_exact, nats_to_bits(pt.equivocation_per_letter),
          nats_to_bits(pt.weak_converse_level), nats_to_bits(pt.no_message_level))

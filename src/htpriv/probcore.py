@@ -393,11 +393,15 @@ def type_counts(seqs: np.ndarray, k: int) -> np.ndarray:
     return counts.reshape(seqs.shape[:-1] + (k,))
 
 
+def _typical_freqs(freqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
+    """|probs(a) - freqs(a)| <= delta for every letter a, along the last axis."""
+    return np.abs(freqs - probs).max(axis=-1) <= delta + _TYPICAL_SLACK
+
+
 def typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
     """Letter-typicality of each sequence along the last axis of ``seqs``:
     |probs(a) - freq(a)| <= delta for every letter a."""
-    freqs = type_counts(seqs, probs.size) / seqs.shape[-1]
-    return np.abs(freqs - probs).max(axis=-1) <= delta + _TYPICAL_SLACK
+    return _typical_freqs(type_counts(seqs, probs.size) / seqs.shape[-1], probs, delta)
 
 
 def has_typical_sequence(probs: np.ndarray, n: int, delta: float) -> bool:

@@ -273,14 +273,13 @@ def _grad_neg_cond_entropy(x: np.ndarray, target, given) -> np.ndarray:
     return np.where(np.isfinite(lc), lc, 0.0)
 
 
-def solve_coupling(problem: CouplingProblem,
-                   x0: np.ndarray | None = None) -> CouplingSolution:
+def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     """Solve the constrained KL minimization.
 
     Each marginal target is checked once and reshaped to broadcast over the
     reference.  With marginal constraints only the answer is the cyclic
-    I-projection of the reference (from ``x0`` when given), which converges
-    geometrically and lands on the constraint set.
+    I-projection of the reference, which converges geometrically and lands
+    on the constraint set.
 
     An entropy floor that the I-projection misses is active.  For a
     multiplier t >= 0 the Lagrangian KL(x || ref) - t H(target|given) is
@@ -304,14 +303,7 @@ def solve_coupling(problem: CouplingProblem,
     ref = np.asarray(problem.reference, dtype=float)
     cons = _broadcast_constraints(ref, problem.marginal_constraints)
 
-    start = ref if x0 is None else np.where(ref > 0, x0, 0.0)
-    if x0 is not None:
-        s = start.sum()
-        if s <= 0:
-            start = ref
-        else:
-            start = start / s
-    x, res = _ipf(start, cons)
+    x, res = _ipf(ref, cons)
     if res > _RESIDUAL_TOL:
         return CouplingSolution(math.inf, None, res, 0.0, 0.0)
 
@@ -536,13 +528,28 @@ def taci_alternate_law(p_suyz: JointPmf, q_s_given_uyz: np.ndarray) -> JointPmf:
 
 @dataclass(frozen=True)
 class FrontierConfig:
-    """Search configuration for the auxiliary-channel frontier sweep."""
+    """Search configuration for the auxiliary-channel frontier sweep: the
+    number of hill-climbed random channels and of structured interpolations
+    per |W|, the seed of the random draws, and the |W| values searched.  A
+    binary source with |W| = 2 also gets a fixed crossover grid of
+    ``_PAIR_GRID`` points per axis.  Negative seed counts and |W| < 1 raise
+    ValueError."""
 
     random_seeds: int = 200
     structured_seeds: int = 201
-    pair_grid: int = 51              # per-axis grid for binary-output channels
     rng_seed: int = 0
     w_sizes: tuple[int, ...] | None = None   # default 1 .. |U|+2
+
+    def __post_init__(self):
+        for name in ("random_seeds", "structured_seeds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.w_sizes is not None and any(w < 1 for w in self.w_sizes):
+            raise ValueError(f"w_sizes entries must be >= 1, got {self.w_sizes}")
+
+
+# per-axis crossover grid for binary-output channels on a binary source
+_PAIR_GRID = 51
 
 
 # hill climbing: a coordinate step starts at _IMPROVE_STEP and shrinks by
@@ -551,7 +558,7 @@ class FrontierConfig:
 _IMPROVE_STEP, _IMPROVE_SHRINK, _IMPROVE_FLOOR, _IMPROVE_MAX_PASSES = 0.01, 0.5, 1e-4, 200
 
 
-def _structured_channels(nu: int, nw: int, count: int, pair_grid: int) -> list[np.ndarray]:
+def _structured_channels(nu: int, nw: int, count: int) -> list[np.ndarray]:
     """Deterministic seed family: interpolations between a per-symbol labeling
     and the uniform row (sweeping disclosure from full to none), plus, for
     binary-output channels on a binary source, a dense crossover grid."""
@@ -562,8 +569,8 @@ def _structured_channels(nu: int, nw: int, count: int, pair_grid: int) -> list[n
     uni = np.full((nu, nw), 1.0 / nw)
     for t in np.linspace(0.0, 1.0, count) if count > 0 else ():
         out.append((1.0 - t) * det + t * uni)
-    if nu == 2 and nw == 2 and pair_grid > 1:
-        grid = np.linspace(0.0, 1.0, pair_grid)
+    if nu == 2 and nw == 2:
+        grid = np.linspace(0.0, 1.0, _PAIR_GRID)
         for a in grid:
             for b in grid:
                 out.append(np.array([[1.0 - a, a], [b, 1.0 - b]]))
@@ -660,7 +667,7 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
     structured: list[np.ndarray] = []
     random_jobs: list[tuple[np.ndarray, np.ndarray]] = []
     for nw in w_sizes:
-        structured.extend(_structured_channels(nu, nw, cfg.structured_seeds, cfg.pair_grid))
+        structured.extend(_structured_channels(nu, nw, cfg.structured_seeds))
         for _ in range(cfg.random_seeds):
             rows = rng.gamma(1.0, 1.0, size=(nu, nw))
             rows /= rows.sum(axis=1, keepdims=True)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .probcore import (
-    _TYPICAL_SLACK,
+    _typical_freqs,
     Channel,
     Pmf,
     block_digits,
@@ -53,8 +53,6 @@ __all__ = [
     "chunk_rows",
     "run_trials",
     "wilson_interval",
-    "rank_count_matrix",
-    "unrank_count_matrix",
     "LikelihoodSetup",
     "likelihood_setup",
 ]
@@ -96,55 +94,6 @@ class Codebook:
     @property
     def size(self) -> int:
         return int(self.codewords.shape[0])
-
-
-# ---------------------------------------------------------------------------
-# canonical joint-type indexing
-# ---------------------------------------------------------------------------
-
-def rank_count_matrix(counts: np.ndarray):
-    """Lexicographic rank of a nonnegative integer count matrix among all
-    matrices of the same shape and total.
-
-    ``counts`` may carry leading batch axes (the last two index the matrix);
-    then an array of ranks is returned, else an int.
-    """
-    c = np.asarray(counts, dtype=np.int64)
-    flat = c.reshape(c.shape[:-2] + (math.prod(c.shape[-2:]),))
-    k = flat.shape[-1]
-    rem = flat.sum(axis=-1)
-    top = int(rem.max(initial=0)) + k
-    rank = np.zeros(rem.shape, dtype=np.int64)
-    for i in range(k - 1):
-        # sum_{v < c_i} C(rem - v + m - 1, m - 1) = C(rem + m, m) - C(rem - c_i + m, m)
-        m = k - i - 1
-        binom = np.array([math.comb(x, m) for x in range(top + 1)], dtype=np.int64)
-        rank += binom[rem + m] - binom[rem - flat[..., i] + m]
-        rem = rem - flat[..., i]
-    return int(rank) if rank.ndim == 0 else rank
-
-
-def unrank_count_matrix(rank: int, shape: tuple[int, int], total: int) -> np.ndarray:
-    """Inverse of :func:`rank_count_matrix`."""
-    k = shape[0] * shape[1]
-    out = []
-    rem = total
-    r = rank
-    for i in range(k - 1):
-        v = 0
-        while True:
-            # matrices with v in this cell: compositions of the rest over later cells
-            block = math.comb(rem - v + k - i - 2, k - i - 2)
-            if r < block:
-                break
-            r -= block
-            v += 1
-        out.append(v)
-        rem -= v
-    out.append(rem)
-    if r != 0:
-        raise ValueError(f"rank {rank} out of range for shape {shape}, total {total}")
-    return np.asarray(out, dtype=np.int64).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +267,16 @@ def likelihood_law(cb: Codebook, p_u_given_w: Channel, delta_prime: float) -> Me
     Atypical u-blocks, and blocks under which every codeword has zero
     likelihood, send the error message.  Otherwise codeword j is chosen with
     probability proportional to the product likelihood of the block under
-    it (log domain, max subtracted), and the message is the canonical
-    joint-type index t of (u, w(j)) with the bin b of j, coded
-    1 + t * num_bins + b.
+    it (log domain, max subtracted), and the message is the joint type of
+    (u, w(j)) with the bin b of j.  The type is the tuple c of |U||W| letter
+    counts (cell u |W| + w), indexed as t = block_index(c, n + 1); the message
+    is coded 1 + t * num_bins + b and labelled ("type", c, "bin", b).
     """
     p_u = Pmf(cb.p_w.probs @ p_u_given_w.rows)
     with np.errstate(divide="ignore"):
         log_rows = np.log(p_u_given_w.rows)       # (|W|, |U|)
-    nu, nw = cb.u_size, cb.p_w.support_size
-    types = math.comb(cb.n + nu * nw - 1, nu * nw - 1)
-    if types * cb.num_bins >= 2 ** 62:
+    n, nu, nw = cb.n, cb.u_size, cb.p_w.support_size
+    if (n + 1) ** (nu * nw) * cb.num_bins >= 2 ** 62:
         raise CodebookSizeError("joint types x bins exceed the message code range")
 
     def pairs(ublocks):
@@ -343,23 +292,26 @@ def likelihood_law(cb: Codebook, p_u_given_w: Channel, delta_prime: float) -> Me
         sel = np.exp(logits - logits.max(axis=1, keepdims=True))
         sel /= sel.sum(axis=1, keepdims=True)
         counts = type_counts(ublocks[rows][:, None, :] * nw + cb.codewords, nu * nw)
-        t = rank_count_matrix(counts.reshape(len(rows), size, nu, nw))
+        t = block_index(counts, n + 1)
         codes[rows] = np.where(sel > 0, 1 + t * cb.num_bins + cb.bins, 0)
         probs[rows] = sel
         return codes, probs
 
     def label(code):
+        if code == 0:
+            return "error"
         t, b = divmod(int(code) - 1, cb.num_bins)
-        return "error" if code == 0 else ("type", t, "bin", b)
+        return ("type", tuple(block_digits([t], n + 1, nu * nw)[0].tolist()), "bin", b)
 
-    return MessageLaw(cb.n, nu, cb.size, pairs, label)
+    return MessageLaw(n, nu, cb.size, pairs, label)
 
 
 def likelihood_encode(cb: Codebook, u, p_u_given_w: Channel,
                       delta_prime: float, seed: int):
     """The label of one draw of :func:`likelihood_law` for the block ``u`` (a
     :class:`~htpriv.probcore.SequenceSample`), with the uniform taken from
-    ``np.random.default_rng(seed)``: ``"error"`` or ``("type", t, "bin", b)``."""
+    ``np.random.default_rng(seed)``: ``"error"`` or ``("type", c, "bin", b)``,
+    where c is the tuple of joint-type counts of (u, w(j)), cell u |W| + w."""
     if u.n != cb.n:
         raise ValueError(f"sequence length {u.n} != codebook blocklength {cb.n}")
     law = likelihood_law(cb, p_u_given_w, delta_prime)
@@ -387,6 +339,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in ("likelihood", "zero_rate", "timeshare"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
 
     @property
     def delta_prime(self) -> float:
@@ -436,8 +390,7 @@ def likelihood_scheme(setup: LikelihoodSetup, config: SchemeConfig) -> Scheme:
     null iff the message is a payload, its declared joint type is within
     delta of P_UW, min-entropy decoding in its bin succeeds, and the decoded
     codeword is jointly delta_tilde-typical with v for P_WV.  Each step runs
-    on every (message, v-block) pair of a call at once; the type gate runs
-    once per distinct declared type."""
+    on every (message, v-block) pair of a call at once."""
     cb = setup.codebook
     law = likelihood_law(cb, setup.reverse_channel, config.delta_prime)
     n, nv = cb.n, setup.p_wv.shape[1]
@@ -446,10 +399,8 @@ def likelihood_scheme(setup: LikelihoodSetup, config: SchemeConfig) -> Scheme:
         out = np.zeros(len(codes), dtype=bool)
         rows = np.flatnonzero(codes > 0)
         t, b = np.divmod(codes[rows] - 1, cb.num_bins)
-        types, of_type = np.unique(t, return_inverse=True)
-        gate = np.array([np.abs(unrank_count_matrix(int(x), setup.p_uw.shape, n) / n
-                                - setup.p_uw).max() <= config.delta + _TYPICAL_SLACK
-                         for x in types], dtype=bool)[of_type]
+        freqs = block_digits(t, n + 1, setup.p_uw.size) / n
+        gate = _typical_freqs(freqs, setup.p_uw.ravel(), config.delta)
         rows, b = rows[gate], b[gate]
         j = min_entropy_decode(cb, b, vblocks[rows], config.delta_hat(cb.u_size))
         rows, j = rows[j >= 0], j[j >= 0]

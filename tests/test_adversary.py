@@ -333,7 +333,7 @@ def _acceptance_predicate(cfg, pair, n, seed):
     """The scheme's detector on message labels, written apart from the
     program's acceptance tests, for the brute-force oracle."""
     from htpriv.adversary import all_sequences
-    from htpriv.schemes import likelihood_setup, unrank_count_matrix
+    from htpriv.schemes import likelihood_setup
 
     p_uv = pair.p.marginal(("U", "V")).probs
     nu, nv = p_uv.shape
@@ -364,8 +364,8 @@ def _acceptance_predicate(cfg, pair, n, seed):
     def accepts(label, v):
         if label == "error":
             return False
-        _, t, _, b = label
-        if not _typical(unrank_count_matrix(t, (nu, nw), n) / n, setup.p_uw, d):
+        _, counts, _, b = label
+        if not _typical(np.reshape(counts, (nu, nw)) / n, setup.p_uw, d):
             return False
         if cb.identity_binning:
             j = b

@@ -1,5 +1,6 @@
 """CLI contract: CSV schemas, determinism, exit codes, validation diagnostics."""
 
+import hashlib
 import json
 import math
 import os
@@ -99,6 +100,21 @@ class TestFrontierExperiment:
             assert float(row[0]) == pytest.approx(pt.rate / ln2, abs=1e-10)
             assert float(row[1]) == pytest.approx(pt.exponent / ln2, abs=1e-10)
             assert float(row[2]) == pytest.approx(pt.privacy0 / ln2, abs=1e-10)
+
+
+    @pytest.mark.parametrize("param, field", [
+        ("w_sizes=0", "w_sizes"), ("w_sizes=2,-1", "w_sizes"),
+        ("random_seeds=-3", "random_seeds"), ("structured_seeds=-1", "structured_seeds"),
+    ])
+    def test_bad_search_size_fails(self, tmp_path, capsys, param, field):
+        out = tmp_path / "front.csv"
+        rc = main(["run", "--experiment", "frontier", "--instance",
+                   str(ROOT / "instances" / "example1_taci.json"), "--out", str(out),
+                   "--param", param])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ValueError" and field in rec["message"]
 
 
 class TestSimulateAndZeroRate:
@@ -269,6 +285,31 @@ class TestCounterexampleExperiment:
         for r in rows:
             assert float(r[2]) > float(r[3])  # equivocation above weak-converse level
 
+    def run_counterexample(self, tmp_path, *params):
+        out = tmp_path / "ce.csv"
+        rc = main(["run", "--experiment", "counterexample", "--instance",
+                   str(ROOT / "instances" / "counterexample_binary.json"), "--out", str(out)]
+                  + [a for p in params for a in ("--param", p)])
+        return rc, out
+
+    @pytest.mark.parametrize("delta", ["-1", "nan", "inf"])
+    def test_bad_delta_fails(self, tmp_path, capsys, delta):
+        rc, out = self.run_counterexample(tmp_path, f"delta={delta}")
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ValueError" and "delta" in rec["message"]
+
+    def test_empty_typical_set_warning(self, tmp_path, capsys):
+        # no block of 3 letters is within 0.01 of P_U; at n=4 one is
+        rc, out = self.run_counterexample(tmp_path, "n_list=3,4", "delta=0.01")
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"warning": "empty_typical_set", "n": 3, "delta": 0.01}]
+        _, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["3", "4"]
+
 
 class TestErrorHandling:
     def test_unknown_experiment_is_usage_error(self, capsys):
@@ -383,14 +424,17 @@ class TestValidate:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def readme_run_argvs():
+    """The arguments after `htpriv` of each `htpriv run` example in README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
+    return [shlex.split(line.split("#")[0])[1:] for line in text.splitlines()
+            if line.startswith("htpriv run") and "NAME" not in line]
+
+
 def readme_run_commands():
     """(experiment, --param keys) of each `htpriv run` example in README.md."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
     out = []
-    for line in text.splitlines():
-        if not line.startswith("htpriv run") or "NAME" in line:
-            continue
-        argv = shlex.split(line.split("#")[0])
+    for argv in readme_run_argvs():
         experiment = argv[argv.index("--experiment") + 1]
         keys = [argv[i + 1].split("=", 1)[0] for i, a in enumerate(argv) if a == "--param"]
         out.append((experiment, keys))
@@ -436,3 +480,27 @@ class TestParams:
                                             "counterexample"}
         for experiment, keys in commands:
             assert set(keys) <= set(PARAM_KEYS[experiment]), (experiment, keys)
+
+
+class TestReadmeCsvs:
+    # SHA-256 of the CSV each README `htpriv run` example writes.  The frontier
+    # example runs with random_seeds=10 here (the full search takes about 11 s).
+    SHA256 = {
+        "example1": "a6631a915dbdc9be7f47ca9641063183a678e3db927fe95e2b3607e99f65d31e",
+        "frontier": "af307171edefc133a2db6fa6103442e323ba942b123376132aa4b9ac03740b60",
+        "simulate": "050a8bba5b7f528bf274a8033e47ec14391cf7612b014bfb2116d34d53501e81",
+        "counterexample": "35f4fd4b8c9d7320ee296c709a1a0ba4f226c329c5a5e08238d16e610489290a",
+    }
+
+    @pytest.mark.parametrize("experiment", list(SHA256))
+    def test_readme_csv_is_byte_identical(self, tmp_path, capsys, experiment):
+        (argv,) = [a for a in readme_run_argvs()
+                   if a[a.index("--experiment") + 1] == experiment]
+        out = tmp_path / "out.csv"
+        argv = [str(ROOT / a) if a.startswith("instances/") else a for a in argv]
+        argv[argv.index("--out") + 1] = str(out)
+        if experiment == "frontier":
+            argv += ["--param", "random_seeds=10"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[experiment]

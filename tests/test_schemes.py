@@ -14,6 +14,7 @@ from htpriv.probcore import (
     SequenceSample,
     empirical_cond_entropy,
     is_typical,
+    type_counts,
 )
 from htpriv.regions import HypothesisPair
 from htpriv.schemes import (
@@ -28,11 +29,9 @@ from htpriv.schemes import (
     likelihood_scheme,
     make_scheme,
     min_entropy_decode,
-    rank_count_matrix,
     run_trials,
     sample_codes,
     timeshare_law,
-    unrank_count_matrix,
     wilson_interval,
     zero_rate_law,
 )
@@ -59,38 +58,6 @@ def sent(law, block) -> dict:
 def uniform_pair() -> HypothesisPair:
     j = JointPmf((("S", 2), ("U", 2), ("V", 2)), np.full((2, 2, 2), 0.125))
     return HypothesisPair(j, j)
-
-
-class TestTypeIndexing:
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(MASTER_SEED)
-        for _ in range(100):
-            shape = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-            n = int(rng.integers(1, 9))
-            counts = rng.multinomial(n, np.full(shape[0] * shape[1],
-                                                1.0 / (shape[0] * shape[1])))
-            counts = counts.reshape(shape)
-            r = rank_count_matrix(counts)
-            back = unrank_count_matrix(r, shape, n)
-            np.testing.assert_array_equal(counts, back)
-
-    def test_ranks_are_dense_and_unique(self):
-        # all 2x2 count matrices with total 3: ranks must be 0..C(6,3)-1
-        import itertools
-        seen = set()
-        for c in itertools.product(range(4), repeat=4):
-            if sum(c) != 3:
-                continue
-            seen.add(rank_count_matrix(np.array(c).reshape(2, 2)))
-        assert seen == set(range(math.comb(3 + 3, 3)))
-
-    def test_batched_ranks_match_single_ranks(self):
-        rng = np.random.default_rng(MASTER_SEED + 1)
-        counts = rng.multinomial(7, np.full(6, 1 / 6), size=(4, 5)).reshape(4, 5, 2, 3)
-        ranks = rank_count_matrix(counts)
-        assert ranks.shape == (4, 5)
-        for idx in np.ndindex(4, 5):
-            assert ranks[idx] == rank_count_matrix(counts[idx])
 
 
 class TestBuildCodebook:
@@ -140,9 +107,7 @@ class TestLikelihoodEncode:
         for seed in range(5):
             label = likelihood_encode(cb, u, chan, delta_prime=1.0, seed=seed)
             # codeword 0 has zero likelihood; joint type of (u, w(1)) is all-(1,1)
-            counts = np.zeros((2, 2), dtype=np.int64)
-            counts[1, 1] = 2
-            assert label[:2] == ("type", rank_count_matrix(counts))
+            assert label[:2] == ("type", (0, 0, 0, 2))
 
     def test_atypical_input_gives_error_message(self):
         cb = toy_codebook([[0, 1], [1, 0]])
@@ -162,9 +127,8 @@ class TestLikelihoodEncode:
         # empirical selection frequency over seeds follows those probabilities
         picks = []
         for seed in range(4000):
-            _, t, _, _ = likelihood_encode(cb, u, chan, delta_prime=0.6, seed=seed)
-            counts = unrank_count_matrix(t, (2, 2), 2)
-            picks.append(1 if counts[1, 1] == 1 else 0)
+            _, counts, _, _ = likelihood_encode(cb, u, chan, delta_prime=0.6, seed=seed)
+            picks.append(1 if counts[1 * 2 + 1] == 1 else 0)   # cell (u, w) = (1, 1)
         freq = np.mean(picks)
         sigma = math.sqrt(probs[1] * (1 - probs[1]) / 4000)
         assert abs(freq - probs[1]) < 4 * sigma
@@ -266,6 +230,95 @@ class TestMinEntropyDecode:
         assert seen == {"identity", "fail", "ok", "empty_bin", "atypical"}
 
 
+def random_likelihood_setup(rng, n, nu, nw) -> LikelihoodSetup:
+    """A random codebook over |W| letters (identity binning one time in four)
+    with random P(U|W), P_UW and P_WV (|V| = 2)."""
+    size = int(rng.integers(1, 9))
+    identity = rng.random() < 0.25
+    bins = np.arange(size) if identity else rng.integers(0, 3, size=size)
+    cb = Codebook(n=n, eta=0.05, rate=1.0, p_w=Pmf(rng.dirichlet(np.ones(nw))),
+                  codewords=rng.integers(0, nw, size=(size, n)), bins=bins,
+                  num_bins=size if identity else 3, identity_binning=identity,
+                  u_size=nu, seed=0)
+    return LikelihoodSetup(cb, Channel(rng.dirichlet(np.ones(nu), size=nw)),
+                           rng.dirichlet(np.ones(nu * nw)).reshape(nu, nw),
+                           rng.dirichlet(np.ones(nw * 2)).reshape(nw, 2))
+
+
+def loop_accepts(setup, delta, code, v) -> tuple[bool, bool]:
+    """(declared-type gate, detector decision) of one message, one step at a
+    time: the code's base-(n+1) digits are the joint-type counts."""
+    cb = setup.codebook
+    n, nv = cb.n, setup.p_wv.shape[1]
+    if code == 0:
+        return False, False
+    t, b = divmod(int(code) - 1, cb.num_bins)
+    counts = []
+    for _ in range(setup.p_uw.size):
+        t, c = divmod(t, n + 1)
+        counts.insert(0, c)
+    gate = np.abs(np.array(counts) / n - setup.p_uw.ravel()).max() <= delta + 1e-15
+    if not gate:
+        return False, False
+    j = loop_min_entropy_decode(cb, b, v, nv, cb.u_size * delta)
+    if j < 0:
+        return True, False
+    joint = np.zeros(setup.p_wv.shape)
+    for w_i, v_i in zip(cb.codewords[j], v):
+        joint[w_i, v_i] += 1
+    return True, bool(np.abs(joint / n - setup.p_wv).max() <= 2 * delta + 1e-15)
+
+
+class TestTypeCoding:
+    """A likelihood message is the joint type of (u, w(j)) and the bin of j;
+    its code is 1 + block_index(counts, n + 1) * num_bins + bin."""
+
+    def test_label_counts_are_joint_types(self):
+        rng = np.random.default_rng(MASTER_SEED + 60)
+        sent_codes = 0
+        for _ in range(60):
+            n, nu, nw = int(rng.integers(1, 8)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            setup = random_likelihood_setup(rng, n, nu, nw)
+            cb = setup.codebook
+            law = likelihood_law(cb, setup.reverse_channel, delta_prime=1.0)
+            ublocks = rng.integers(0, nu, size=(10, n))
+            codes, probs = law.pairs(ublocks)
+            for u, row_codes, row_probs in zip(ublocks, codes, probs):
+                for j in np.flatnonzero(row_probs > 0):
+                    want = tuple(type_counts(u * nw + cb.codewords[j], nu * nw).tolist())
+                    assert law.label(row_codes[j]) == ("type", want, "bin", int(cb.bins[j]))
+                    sent_codes += 1
+        assert sent_codes > 1000
+
+    def test_code_range_is_checked(self):
+        cb = toy_codebook(np.zeros((1, 30), dtype=int), bins=[0])
+        # (30 + 1)^4 types fit; |U| = 12 letters give 31^24 >= 2^62
+        likelihood_law(cb, Channel([[0.5, 0.5], [0.5, 0.5]]), delta_prime=0.1)
+        wide = toy_codebook(np.zeros((1, 30), dtype=int), bins=[0], u_size=12)
+        with pytest.raises(CodebookSizeError):
+            likelihood_law(wide, Channel(np.full((2, 12), 1 / 12)), delta_prime=0.1)
+
+    def test_gate_matches_per_message_loop(self):
+        rng = np.random.default_rng(MASTER_SEED + 61)
+        outcomes = set()
+        for _ in range(40):
+            n, nu, nw = int(rng.integers(1, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            setup = random_likelihood_setup(rng, n, nu, nw)
+            cb = setup.codebook
+            delta = float(rng.choice([0.0, 0.2, 0.4, 1.0]))
+            scheme = likelihood_scheme(setup, SchemeConfig(scheme="likelihood", delta=delta))
+            # codes the encoder sends, and arbitrary codes over the whole range
+            drawn = sample_codes(scheme.law, rng.integers(0, nu, size=(15, n)), rng.random(15))
+            anywhere = rng.integers(0, (n + 1) ** (nu * nw) * cb.num_bins + 1, size=15)
+            codes = np.concatenate([drawn, anywhere])
+            vblocks = rng.integers(0, 2, size=(len(codes), n))
+            got = scheme.accepts(codes, vblocks)
+            want = [loop_accepts(setup, delta, c, v) for c, v in zip(codes, vblocks)]
+            assert got.tolist() == [decision for _, decision in want]
+            outcomes.update(want)
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+
 class TestDetect:
     """The likelihood scheme's detector on a one-codeword toy codebook."""
 
@@ -295,7 +348,7 @@ class TestDetect:
     def test_exact_joint_type_accepts_at_zero(self):
         s = self.scheme([0, 1], self.DIAG, delta=0.0)
         code = self.encode(s, [0, 1])
-        assert s.law.label(code) == ("type", rank_count_matrix(np.eye(2, dtype=int)), "bin", 0)
+        assert s.law.label(code) == ("type", (1, 0, 0, 1), "bin", 0)
         assert self.accepts(s, code, [0, 1])
 
     def test_empirically_independent_pair_rejects(self):
