@@ -7,7 +7,10 @@ by contracting the law with the per-letter law one u-letter at a time: block
 equivocation H(S^n | M, V^n), Bayes-optimal causal-disclosure distortion
 (whose Bayes actions the Monte Carlo estimate looks up) and, with the (U, V)
 letter law, a scheme's exact error probabilities under its acceptance test.
-The privacy audits stream the table one chunk of messages at a time.
+Every audit, the error probabilities included, streams the table one chunk
+of message columns at a time (at most ``schemes.CHUNK_CELLS`` cells per
+step), after checking that the whole table fits the one budget
+``MAX_JOINT_CELLS``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ __all__ = [
     "counterexample_curve",
 ]
 
-DEFAULT_BUDGET = 10 ** 8
+# cells of the whole block table |M| |S|^n |V|^n an exact audit may stream
+MAX_JOINT_CELLS = 10 ** 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -228,48 +232,40 @@ def _letter_law(model: SchemeModel, pair: HypothesisPair, n: int,
     return arr.reshape(arr.shape[0], model.u_size, -1)
 
 
-def _check_budget(num_messages: int, letter: np.ndarray, n: int, max_joint_cells: int) -> None:
-    """The budget bounds the cells of the block table of a law."""
-    cells = num_messages * letter[:, 0].size ** n          # |M| |S|^n |V|^n
-    if cells > max_joint_cells:
-        raise BudgetExceededError(
-            f"{cells:.3g} joint cells exceed the budget {max_joint_cells:.3g}")
-
-
-def _block_table(law: np.ndarray, letter: np.ndarray, n: int,
-                 max_joint_cells: int) -> np.ndarray:
+def _contract(law: np.ndarray, letter: np.ndarray, n: int) -> np.ndarray:
     """Joint mass table P[m, s-block, v-block] = sum_u law[u, m]
     prod_i letter[s_i, u_i, v_i], shape (|M|, |S|^n, |V|^n), blocks indexed
     first letter most significant.
 
     ``law`` is (|U|^n, |M|) and ``letter`` is (|S|, |U|, |V|).  The u-letters
-    are summed out one at a time, last letter first, for a chunk of message
-    columns at a time, so no intermediate holds more than one chunk beside the
-    table.  The budget bounds the table; the privacy audits stream it by chunks.
+    are summed out one at a time, last letter first.
     """
     ns, nu, nv = letter.shape
-    nm = law.shape[1]
-    _check_budget(nm, letter, n, max_joint_cells)
-    table = np.empty((nm, ns ** n, nv ** n))
-    # per column, a step's input and output hold at most this many cells
-    step_cells = (nu + ns * nv) * max(nu, ns * nv) ** (n - 1)
-    for cols in chunk_rows(nm, step_cells):
-        x = law[:, cols].T
-        c = x.shape[0]
-        for k in range(n, 0, -1):
-            # x[(m, u^{k-1}), u_k, s_{k+1..n}, v_{k+1..n}]
-            x = x.reshape(c * nu ** (k - 1), nu, ns ** (n - k), nv ** (n - k))
-            out = table[cols].reshape(c, ns, ns ** (n - 1), nv, nv ** (n - 1)) if k == 1 else None
-            x = np.einsum("xuSV,sut->xsStV", x, letter, out=out)
-    return table
+    x = law.T
+    nm = x.shape[0]
+    for k in range(n, 0, -1):
+        # x[(m, u^{k-1}), u_k, s_{k+1..n}, v_{k+1..n}]
+        x = x.reshape(nm * nu ** (k - 1), nu, ns ** (n - k), nv ** (n - k))
+        x = np.einsum("xuSV,sut->xsStV", x, letter)
+    return x.reshape(nm, ns ** n, nv ** n)
 
 
-def _block_tables(law: np.ndarray, letter: np.ndarray, n: int, max_joint_cells: int):
-    """Check the budget of the whole table, then lazily yield (cols, P[cols])
-    for one chunk of message columns (at most ``CHUNK_CELLS`` cells) at a time."""
-    _check_budget(law.shape[1], letter, n, max_joint_cells)
-    return ((cols, _block_table(law[:, cols], letter, n, max_joint_cells))
-            for cols in chunk_rows(law.shape[1], letter[:, 0].size ** n))
+def _block_tables(law: np.ndarray, letter: np.ndarray, n: int):
+    """Check that the whole block table fits ``MAX_JOINT_CELLS``, then lazily
+    yield (cols, P[cols]) for one chunk of message columns at a time.
+
+    ``chunk_rows`` sizes the chunks by the largest array one column needs: a
+    contraction step's input and output (the last output is the column's
+    table), or the n |V|^n letters an acceptance test reads.
+    """
+    ns, nu, nv = letter.shape
+    cells = law.shape[1] * (ns * nv) ** n
+    if cells > MAX_JOINT_CELLS:
+        raise BudgetExceededError(
+            f"{cells:.3g} joint cells exceed the budget {MAX_JOINT_CELLS:.3g}")
+    col_cells = max((nu + ns * nv) * max(nu, ns * nv) ** (n - 1), n * nv ** n)
+    return ((cols, _contract(law[:, cols], letter, n))
+            for cols in chunk_rows(law.shape[1], col_cells))
 
 
 def _causal_bayes(table: np.ndarray, distortion: np.ndarray, n: int):
@@ -291,52 +287,51 @@ def _causal_bayes(table: np.ndarray, distortion: np.ndarray, n: int):
 
 
 def exact_equivocation(model: SchemeModel, pair: HypothesisPair, n: int,
-                       hypothesis: int,
-                       max_joint_cells: int = DEFAULT_BUDGET) -> float:
+                       hypothesis: int) -> float:
     """Exact H(S^n | M, V^n) in nats (block total, not per letter)."""
-    tables = _block_tables(model.law, _letter_law(model, pair, n, hypothesis), n,
-                           max_joint_cells)
+    tables = _block_tables(model.law, _letter_law(model, pair, n, hypothesis), n)
     return sum(entropy_of_array(t) - entropy_of_array(t.sum(axis=1)) for _, t in tables)
 
 
 def exact_causal_distortion(model: SchemeModel, pair: HypothesisPair, n: int,
-                            hypothesis: int,
-                            max_joint_cells: int = DEFAULT_BUDGET) -> float:
+                            hypothesis: int) -> float:
     """Exact block minimum of E[sum_i d(S_i, phi_i(M, V^n, S^{i-1}))] over
     deterministic causal estimators; the per-cell minimizer is the Bayes
     action, and estimator i sees past private letters but not S_i itself."""
     if pair.distortion is None:
         raise ValueError("HypothesisPair has no distortion table")
-    tables = _block_tables(model.law, _letter_law(model, pair, n, hypothesis), n,
-                           max_joint_cells)
+    tables = _block_tables(model.law, _letter_law(model, pair, n, hypothesis), n)
     return sum(cost for _, t in tables for _, _, cost in _causal_bayes(t, pair.distortion, n))
 
 
-def _errors(scheme: Scheme, model: SchemeModel, codes: np.ndarray, pair: HypothesisPair,
-            max_joint_cells: int) -> tuple[float, float]:
+def _errors(scheme: Scheme, model: SchemeModel, codes: np.ndarray,
+            pair: HypothesisPair) -> tuple[float, float]:
     """Exact (alpha_n, beta_n) of a scheme from its dense law over u-blocks
-    and the message code of each law column."""
+    and the message code of each law column: the block tables P_h[m, v-block]
+    of the two hypotheses' (U, V) letter laws (S trivial), streamed in
+    lockstep, weigh the scheme's acceptance test chunk by chunk."""
     n = scheme.law.n
     uv = [pair.uv_law(h) for h in (0, 1)]
     if model.u_size != uv[0].shape[0]:
         raise ValueError(f"scheme alphabet {model.u_size} != |U| = {uv[0].shape[0]}")
-    # P_h[m, v-block]: the block table of the (U, V) letter law, S trivial
-    p_mv = [_block_table(model.law, x[None], n, max_joint_cells)[:, 0] for x in uv]
     vblocks = all_sequences(uv[0].shape[1], n)
     nvn = vblocks.shape[0]
-    accept = np.zeros((codes.size, nvn))
-    for rows in chunk_rows(codes.size, nvn * n):
-        part = codes[rows]
-        accept[rows] = scheme.accepts(
+    accepted = [0.0, 0.0]
+    for (cols, p0), (_, p1) in zip(*(_block_tables(model.law, x[None], n) for x in uv)):
+        part = codes[cols]
+        accept = scheme.accepts(
             np.repeat(part, nvn), np.tile(vblocks, (part.size, 1))).reshape(part.size, nvn)
-    return 1.0 - float((p_mv[0] * accept).sum()), float((p_mv[1] * accept).sum())
+        accepted[0] += float((p0[:, 0] * accept).sum())
+        accepted[1] += float((p1[:, 0] * accept).sum())
+    return 1.0 - accepted[0], accepted[1]
 
 
-def exact_errors(scheme: Scheme, pair: HypothesisPair,
-                 max_joint_cells: int = DEFAULT_BUDGET) -> tuple[float, float]:
+def exact_errors(scheme: Scheme, pair: HypothesisPair) -> tuple[float, float]:
     """Exact (alpha_n, beta_n) of a scheme, summed over every (message,
-    v-block) pair of its law and acceptance test."""
-    return _errors(scheme, *_law_table(scheme.law), pair, max_joint_cells)
+    v-block) pair of its law and acceptance test.  The (message, v-block)
+    tables stream one chunk of messages at a time, like the privacy audits,
+    under the same ``MAX_JOINT_CELLS`` budget (here |M| |V|^n cells)."""
+    return _errors(scheme, *_law_table(scheme.law), pair)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +339,15 @@ def exact_errors(scheme: Scheme, pair: HypothesisPair,
 # ---------------------------------------------------------------------------
 
 def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
-                        hypothesis: int, trials: int, seed: int,
-                        max_joint_cells: int = DEFAULT_BUDGET) -> PrivacyReport:
+                        hypothesis: int, trials: int, seed: int) -> PrivacyReport:
     """Plug-in Monte Carlo estimate of the exact quantities above.
 
-    When the posterior table fits the budget the per-sample posteriors are
-    computed exactly and the estimates are unbiased.  Otherwise each posterior
-    is a ratio of two Monte Carlo means over drawn u-blocks (see below), the
-    report is flagged as biased and carries no distortion, and a sample whose
-    message no drawn u-block sends raises ``RuntimeError``.  Estimates, never
-    certified bounds.
+    When the posterior table fits ``MAX_JOINT_CELLS`` the per-sample
+    posteriors are computed exactly and the estimates are unbiased.  Otherwise
+    each posterior is a ratio of two Monte Carlo means over drawn u-blocks
+    (see below), the report is flagged as biased and carries no distortion,
+    and a sample whose message no drawn u-block sends raises
+    ``RuntimeError``.  Estimates, never certified bounds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -372,7 +366,7 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
     msgs = inverse_cdf(model.law[u_idx], rng.random(trials))
 
     try:
-        tables = _block_tables(model.law, a, n, max_joint_cells)
+        tables = _block_tables(model.law, a, n)
     except BudgetExceededError:
         tables = None
     biased = tables is None
@@ -440,8 +434,7 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
 # ---------------------------------------------------------------------------
 
 def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
-                         n_list, delta: float = 0.1,
-                         max_joint_cells: int = DEFAULT_BUDGET) -> list[CounterexamplePoint]:
+                         n_list, delta: float = 0.1) -> list[CounterexamplePoint]:
     """Exact evaluation of the time-shared quantization scheme.
 
     Requires an instance with H_P(S|U,V) < H_P(S|V): the message must actually
@@ -461,8 +454,8 @@ def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
     for n in n_list:
         scheme = make_scheme(config, pair, n, seed=0)
         model, codes = _law_table(scheme.law)
-        alpha, _ = _errors(scheme, model, codes, pair, max_joint_cells)
-        eq = exact_equivocation(model, pair, n, 0, max_joint_cells) / n
+        alpha, _ = _errors(scheme, model, codes, pair)
+        eq = exact_equivocation(model, pair, n, 0) / n
         out.append(CounterexamplePoint(
             n=n, alpha_exact=alpha, equivocation_per_letter=eq,
             weak_converse_level=h_suv, no_message_level=h_sv,

@@ -8,11 +8,12 @@ Usage:
 Experiments: example1, example2, frontier, zero_rate, simulate,
 counterexample.  Output is a CSV (UTF-8, LF line endings) whose first line is
 a versioned schema comment; the data is byte-identical for identical
-(config, seed).  Exit status 0 on success, 1 on runtime failure or a
-``--param`` key the experiment does not read (with a single machine-parsable
-JSON error line on stderr; the file at ``--out`` is left as it was, since the
-CSV is written to a temp file beside it and moved into place only when
-complete), 2 on usage errors.
+(config, seed).  Exit status 0 on success, 1 on runtime failure, a
+``--param`` key the experiment does not read or a list parameter (such as
+``n_list``, ``p`` or ``w_sizes``) that is empty or has an empty item (with a
+single machine-parsable JSON error line on stderr; the file at ``--out`` is
+left as it was, since the CSV is written to a temp file beside it and moved
+into place only when complete), 2 on usage errors.
 Degenerate regimes, such as a simulated or counterexample scheme whose typical
 set is empty at some n or a privacy estimate that fell back to the biased
 importance-sampling branch, print one JSON warning line on stderr each.
@@ -98,18 +99,28 @@ def _parse_params(experiment: str, items) -> dict:
     return out
 
 
-def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _items(text: str, key: str) -> list[str]:
+    """The comma-separated items of list parameter ``key``; an empty list or
+    an empty item is an error, not a silent empty run."""
+    items = [t.strip() for t in text.split(",")]
+    if not all(items):
+        raise ExperimentError(f"{key} must be a comma-separated list with no empty item, "
+                              f"got {text!r}")
+    return items
 
 
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _floats(text: str, key: str) -> list[float]:
+    return [float(t) for t in _items(text, key)]
+
+
+def _ints(text: str, key: str) -> list[int]:
+    return [int(t) for t in _items(text, key)]
 
 
 def _channel(text: str, u_size: int) -> Channel:
     """A |U|-row stochastic matrix written row by row, rows split by ";" and
     entries by ",", such as ``0.9,0.1;0.1,0.9``."""
-    rows = [_floats(r) for r in text.split(";")]
+    rows = [_floats(r, "w_channel") for r in text.split(";")]
     if len(rows) != u_size or len({len(r) for r in rows}) != 1:
         raise ExperimentError(f"w_channel must be {u_size} rows of equal length, got {text!r}")
     try:
@@ -123,8 +134,8 @@ def _channel(text: str, u_size: int) -> Channel:
 # ---------------------------------------------------------------------------
 
 def _run_example1(args, params):
-    p_list = _floats(params.get("p", "0.15,0.25,0.35"))
-    q_list = _floats(params.get("q", "0,0.1"))
+    p_list = _floats(params.get("p", "0.15,0.25,0.35"), "p")
+    q_list = _floats(params.get("q", "0,0.1"), "q")
     r_step = float(params.get("r_step", "0.01"))
     if not (math.isfinite(r_step) and r_step > 0):
         raise ExperimentError(f"r_step must be finite and > 0, got {r_step!r}")
@@ -188,7 +199,7 @@ def _run_frontier(args, params):
         random_seeds=int(params.get("random_seeds", "200")),
         structured_seeds=int(params.get("structured_seeds", "201")),
         rng_seed=args.seed,
-        w_sizes=tuple(_ints(params["w_sizes"])) if "w_sizes" in params else None,
+        w_sizes=tuple(_ints(params["w_sizes"], "w_sizes")) if "w_sizes" in params else None,
     )
     q_cond = instances.conditional_s_given_rest(pair.q)
     points = regions.taci_frontier(pair.p, q_cond, cfg)
@@ -278,7 +289,7 @@ def _run_simulate(args, params):
 def _run_counterexample(args, params):
     pair = _require_instance(args)
     eps = float(params.get("epsilon_star", "0.25"))
-    n_list = _ints(params.get("n_list", "2,4,6"))
+    n_list = _ints(params.get("n_list", "2,4,6"), "n_list")
     delta = float(params.get("delta", "0.1"))
     points = adversary.counterexample_curve(pair, eps, n_list, delta=delta)
     for n in n_list:

@@ -544,8 +544,9 @@ class FrontierConfig:
         for name in ("random_seeds", "structured_seeds"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.w_sizes is not None and any(w < 1 for w in self.w_sizes):
-            raise ValueError(f"w_sizes entries must be >= 1, got {self.w_sizes}")
+        if self.w_sizes is not None and (not self.w_sizes or min(self.w_sizes) < 1):
+            raise ValueError(f"w_sizes must be None or non-empty with entries >= 1, "
+                             f"got {self.w_sizes}")
 
 
 # per-axis crossover grid for binary-output channels on a binary source
@@ -620,7 +621,7 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
     nu = p_suyz.axis_size("U")
     q_joint = taci_alternate_law(p_suyz, q_s_given_uyz)
     lambda_min = conditional_entropy(q_joint, "S", ("U", "Y", "Z"))
-    w_sizes = cfg.w_sizes or tuple(range(1, nu + 3))
+    w_sizes = tuple(range(1, nu + 3)) if cfg.w_sizes is None else cfg.w_sizes
     rng = np.random.default_rng(cfg.rng_seed)
 
     def evaluate(rows: np.ndarray) -> TradeoffPoint:

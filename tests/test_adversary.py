@@ -8,17 +8,22 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from htpriv import instances, schemes
+from htpriv import adversary, instances, schemes
 from htpriv.adversary import (
     AssumptionViolatedError,
     BudgetExceededError,
     PrivacyReport,
     SchemeModel,
-    _block_table,
+    _block_tables,
+    _contract,
+    _errors,
+    _law_table,
+    _letter_law,
     all_sequences,
     constant_model,
     counterexample_curve,
     exact_causal_distortion,
+    exact_errors,
     exact_equivocation,
     full_disclosure_model,
     likelihood_model,
@@ -30,7 +35,7 @@ from htpriv.adversary import (
 )
 from htpriv.probcore import Channel, JointPmf, Pmf, block_index, conditional_entropy, inverse_cdf
 from htpriv.regions import HypothesisPair, bayes_estimator
-from htpriv.schemes import SchemeConfig, build_codebook, chunk_rows
+from htpriv.schemes import SchemeConfig, build_codebook, make_scheme
 
 from conftest import MASTER_SEED, random_joint, random_suv_joint
 
@@ -63,7 +68,9 @@ class TestBlockTable:
     # in the exact error probabilities
     @pytest.mark.parametrize("shape", [(2, 5, 2), (3, 2, 2), (1, 3, 2)],
                              ids=["u_above_sv", "u_below_sv", "trivial_s"])
-    def test_contraction_matches_kronecker_loop(self, shape):
+    def test_contraction_matches_kronecker_loop(self, shape, monkeypatch):
+        # one message column per chunk: the stream is three chunks, in order
+        monkeypatch.setattr(schemes, "CHUNK_CELLS", 1)
         rng = np.random.default_rng(MASTER_SEED + 60)
         pair = HypothesisPair(random_joint(rng, shape, names=("S", "U", "V")),
                               random_joint(rng, shape, names=("S", "U", "V")))
@@ -71,7 +78,9 @@ class TestBlockTable:
             law = random_message_law(rng, shape[1] ** n, 3)
             for hyp in (0, 1):
                 letter = pair.law(hyp).probs
-                got = _block_table(law, letter, n, max_joint_cells=10 ** 8)
+                chunks = list(_block_tables(law, letter, n))
+                assert [c for c, _ in chunks] == [slice(0, 1), slice(1, 2), slice(2, 3)]
+                got = np.concatenate([t for _, t in chunks])
                 np.testing.assert_allclose(got, kron_block_table(law, letter, n),
                                            rtol=0, atol=1e-12)
 
@@ -105,11 +114,12 @@ class TestExactEquivocation:
                 got = exact_equivocation(model, pair, n, hyp)
                 assert got == pytest.approx(2 * n * LN2, abs=1e-10)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         pair = uniform_independent_pair()
         model = constant_model(2, 3)
+        monkeypatch.setattr(adversary, "MAX_JOINT_CELLS", 10)
         with pytest.raises(BudgetExceededError):
-            exact_equivocation(model, pair, 3, 0, max_joint_cells=10)
+            exact_equivocation(model, pair, 3, 0)
 
     def test_never_exceeds_no_message_entropy(self):
         rng = np.random.default_rng(MASTER_SEED + 52)
@@ -207,7 +217,7 @@ def loop_mc_report(model, pair, n, hypothesis, trials, seed) -> PrivacyReport:
     u_idx = block_index(draws // nv % nu, nu)
     v_idx = block_index(draws % nv, nv)
     msgs = inverse_cdf(model.law[u_idx], rng.random(trials))
-    table = _block_table(model.law, letter, n, max_joint_cells=10 ** 8)
+    table = _contract(model.law, letter, n)
     eq = -np.log(table[msgs, s_idx, v_idx] / table.sum(axis=1)[msgs, v_idx])
     d = pair.distortion
     dist = np.zeros(trials)
@@ -243,13 +253,13 @@ class TestMcEstimate:
             rep = mc_privacy_estimate(model, pair, n, hyp, trials=300, seed=9)
             assert rep == loop_mc_report(model, pair, n, hyp, trials=300, seed=9)
 
-    def test_block_length_must_match_model(self):
+    def test_block_length_must_match_model(self, monkeypatch):
         pair = instances.example2_pair()
         model = message_map_model(4, 4, lambda s: tuple(x % 2 for x in s))
         for budget in (10 ** 8, 4):        # exact branch, biased branch
+            monkeypatch.setattr(adversary, "MAX_JOINT_CELLS", budget)
             with pytest.raises(ValueError, match="model was built for n=4"):
-                mc_privacy_estimate(model, pair, 3, 0, trials=50, seed=1,
-                                    max_joint_cells=budget)
+                mc_privacy_estimate(model, pair, 3, 0, trials=50, seed=1)
 
     def test_matches_exact_within_3_sigma(self):
         rng = np.random.default_rng(MASTER_SEED + 57)
@@ -491,13 +501,14 @@ class TestMultiAxisObservation:
 
 
 class TestMcBiasedBranch:
-    def test_budget_forces_flagged_estimate(self):
+    def test_budget_forces_flagged_estimate(self, monkeypatch):
         rng = np.random.default_rng(MASTER_SEED + 71)
         pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng))
         n = 2
         model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.3)
-        rep = mc_privacy_estimate(model, pair, n, 0, trials=400, seed=3,
-                                  max_joint_cells=4)
+        with monkeypatch.context() as mp:
+            mp.setattr(adversary, "MAX_JOINT_CELLS", 4)
+            rep = mc_privacy_estimate(model, pair, n, 0, trials=400, seed=3)
         assert rep.biased
         assert not rep.exact
         assert rep.causal_distortion_per_letter is None
@@ -506,12 +517,14 @@ class TestMcBiasedBranch:
         assert abs(rep.equivocation_per_letter - exact) < 0.2
 
     @pytest.mark.parametrize("n", [8, 10])
-    def test_agrees_with_exact_when_s_pins_u(self, n):
+    def test_agrees_with_exact_when_s_pins_u(self, n, monkeypatch):
         # S pins U here, so a u-block drawn without regard to s^n almost
         # never matches it; the numerator draws come from P(u_i | s_i, v_i)
         pair = instances.zero_rate_binary_pair()
         model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.15)
-        rep = mc_privacy_estimate(model, pair, n, 0, trials=200, seed=1, max_joint_cells=4)
+        with monkeypatch.context() as mp:
+            mp.setattr(adversary, "MAX_JOINT_CELLS", 4)
+            rep = mc_privacy_estimate(model, pair, n, 0, trials=200, seed=1)
         assert rep.biased
         exact = exact_equivocation(model, pair, n, 0) / n
         assert abs(rep.equivocation_per_letter - exact) <= 4 * rep.equivocation_stderr
@@ -520,23 +533,24 @@ class TestMcBiasedBranch:
         # at 2^12 cells a chunk holds one sample, at 2^20 it holds 128
         pair = instances.zero_rate_binary_pair()
         model = zero_rate_model(pair.p.marginal_pmf("U"), 8, delta=0.15)
+        monkeypatch.setattr(adversary, "MAX_JOINT_CELLS", 4)
         reports = []
         for cells in (2 ** 12, 2 ** 20):
             monkeypatch.setattr(schemes, "CHUNK_CELLS", cells)
-            reports.append(mc_privacy_estimate(model, pair, 8, 0, trials=200, seed=1,
-                                               max_joint_cells=4))
+            reports.append(mc_privacy_estimate(model, pair, 8, 0, trials=200, seed=1))
         assert reports[0].biased
         assert reports[0] == reports[1]
 
-    def test_message_no_draw_sends_raises(self):
+    def test_message_no_draw_sends_raises(self, monkeypatch):
         # S = U and full disclosure: P(m | v^10) = 2^-10, so the 512 draws from
         # P(u | v) almost never send m, and no number is made up for it
         probs = np.zeros((2, 2, 2))
         probs[0, 0], probs[1, 1] = 0.25, 0.25
         j = JointPmf((("S", 2), ("U", 2), ("V", 2)), probs)
+        monkeypatch.setattr(adversary, "MAX_JOINT_CELLS", 4)
         with pytest.raises(RuntimeError, match="biased estimate is undefined"):
             mc_privacy_estimate(full_disclosure_model(2, 10), HypothesisPair(j, j), 10, 0,
-                                trials=20, seed=1, max_joint_cells=4)
+                                trials=20, seed=1)
 
 
 class TestModelBuilders:
@@ -568,52 +582,73 @@ def parity_with_silent_messages(n: int) -> SchemeModel:
 
 
 class TestChunkedAudits:
-    """The privacy audits hold one chunk of message columns of the block
-    table at a time; the chunk size must not change what they report."""
+    """Every exact audit holds one chunk of message columns of the block
+    table at a time; the chunk size must not change what it reports."""
 
     @staticmethod
     def cases():
         lik_cfg = SchemeConfig(scheme="likelihood", delta=0.3, eta=0.05, rate_nats=1.0,
                                w_channel=Channel([[0.9, 0.1], [0.1, 0.9]]))
         ex1 = instances.example1_pair(0.2, 0.0)
-        # (model, pair, n, messages per chunk): chunks 3,3,3,2 and 7,7,5
-        return [(parity_with_silent_messages(3), instances.example2_pair(), 3, 3),
-                (scheme_model_for(lik_cfg, ex1, 5, seed=1), ex1, 5, 7)]
+        lik = make_scheme(lik_cfg, ex1, 5, seed=1)
+        # (scheme or None, model, pair, n, messages per chunk): chunks 3,3,3,2 and 7,7,5
+        return [(None, parity_with_silent_messages(3), instances.example2_pair(), 3, 3),
+                (lik, _law_table(lik.law)[0], ex1, 5, 7)]
 
     @staticmethod
-    def force_chunks(monkeypatch, model, pair, n, per_chunk):
-        cells = pair.law(0).probs[:, 0].size ** n          # |S|^n |V|^n per message
-        assert len(chunk_rows(model.num_messages, cells)) == 1
+    def force_chunks(monkeypatch, law, letter, n, per_chunk):
+        """Set ``CHUNK_CELLS`` so that ``_block_tables`` streams ``per_chunk``
+        message columns at a time, and check that it does, in at least three
+        chunks with a shorter last one."""
+        ns, nu, nv = letter.shape
+        # the per-column cells _block_tables sizes its chunks by
+        cells = max((nu + ns * nv) * max(nu, ns * nv) ** (n - 1), n * nv ** n)
+        assert [t.shape[0] for _, t in _block_tables(law, letter, n)] == [law.shape[1]]
         monkeypatch.setattr(schemes, "CHUNK_CELLS", per_chunk * cells)
-        sizes = [len(range(model.num_messages)[c]) for c in chunk_rows(model.num_messages, cells)]
-        assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+        sizes = [t.shape[0] for _, t in _block_tables(law, letter, n)]
+        assert len(sizes) >= 3 and sizes[0] == per_chunk and sizes[-1] < per_chunk
 
     def test_chunked_audits_match_one_chunk(self, monkeypatch):
-        for model, pair, n, per_chunk in self.cases():
+        for scheme, model, pair, n, per_chunk in self.cases():
             whole = [(exact_causal_distortion(model, pair, n, h),
                       mc_privacy_estimate(model, pair, n, h, trials=400, seed=6))
                      for h in (0, 1)]
             with monkeypatch.context() as mp:
-                self.force_chunks(mp, model, pair, n, per_chunk)
+                self.force_chunks(mp, model.law, _letter_law(model, pair, n, 0), n, per_chunk)
                 for h, (dist, rep) in zip((0, 1), whole):
                     assert abs(exact_causal_distortion(model, pair, n, h) - dist) <= 1e-12
                     assert mc_privacy_estimate(model, pair, n, h, trials=400, seed=6) == rep
+            if scheme is not None:
+                errors = exact_errors(scheme, pair)
+                with monkeypatch.context() as mp:
+                    self.force_chunks(mp, model.law, pair.uv_law(0)[None], n, per_chunk)
+                    assert exact_errors(scheme, pair) == pytest.approx(errors, rel=0, abs=1e-12)
 
     def test_biased_exactly_when_whole_table_exceeds_budget(self, monkeypatch):
-        for model, pair, n, per_chunk in self.cases():
-            cells = model.num_messages * pair.law(0).probs[:, 0].size ** n
+        for _, model, pair, n, per_chunk in self.cases():
+            letter = _letter_law(model, pair, n, 0)
+            cells = model.num_messages * letter[:, 0].size ** n
             with monkeypatch.context() as mp:
-                self.force_chunks(mp, model, pair, n, per_chunk)
-                rep = mc_privacy_estimate(model, pair, n, 0, trials=50, seed=2,
-                                          max_joint_cells=cells)
+                self.force_chunks(mp, model.law, letter, n, per_chunk)
+                mp.setattr(adversary, "MAX_JOINT_CELLS", cells)
+                rep = mc_privacy_estimate(model, pair, n, 0, trials=50, seed=2)
                 assert not rep.biased and rep.causal_distortion_per_letter is not None
-                assert exact_causal_distortion(model, pair, n, 0, max_joint_cells=cells) >= 0
+                assert exact_causal_distortion(model, pair, n, 0) >= 0
                 # one cell short: every chunk fits, the whole table does not
-                rep = mc_privacy_estimate(model, pair, n, 0, trials=50, seed=2,
-                                          max_joint_cells=cells - 1)
+                mp.setattr(adversary, "MAX_JOINT_CELLS", cells - 1)
+                rep = mc_privacy_estimate(model, pair, n, 0, trials=50, seed=2)
                 assert rep.biased and rep.causal_distortion_per_letter is None
                 with pytest.raises(BudgetExceededError):
-                    exact_causal_distortion(model, pair, n, 0, max_joint_cells=cells - 1)
+                    exact_causal_distortion(model, pair, n, 0)
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()          # numpy reports its buffers to tracemalloc
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_peak_memory_below_half_the_whole_table(self, monkeypatch):
         pair, n = instances.example2_pair(), 5
@@ -623,10 +658,14 @@ class TestChunkedAudits:
         monkeypatch.setattr(schemes, "CHUNK_CELLS", 2 * cells)
         for audit in (lambda: exact_causal_distortion(model, pair, n, 0),
                       lambda: mc_privacy_estimate(model, pair, n, 0, trials=1000, seed=5)):
-            tracemalloc.start()          # numpy reports its buffers to tracemalloc
-            try:
-                audit()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < table_bytes / 2
+            assert self.traced_peak(audit) < table_bytes / 2
+
+    def test_error_peak_memory_below_half_a_message_by_vblock_table(self, monkeypatch):
+        # timeshare at n=10: 913 messages by 2^10 v-blocks, 7.13 MiB per P_h[m, v]
+        pair, n = instances.counterexample_pair(), 10
+        scheme = make_scheme(SchemeConfig("timeshare", delta=0.2, epsilon_star=0.25), pair, n, 0)
+        # the dense law over u-blocks is as large (|U| = |V|), so it is built untraced
+        model, codes = _law_table(scheme.law)
+        table_bytes = 8 * model.num_messages * 2 ** n
+        monkeypatch.setattr(schemes, "CHUNK_CELLS", 2 ** 14)
+        assert self.traced_peak(lambda: _errors(scheme, model, codes, pair)) < table_bytes / 2

@@ -117,6 +117,29 @@ class TestFrontierExperiment:
         assert rec["error"] == "ValueError" and field in rec["message"]
 
 
+class TestEmptyListParams:
+    # an empty list or list item is an error naming its key, never a CSV
+    # with a header and no rows or a silent fall-back to the defaults
+    @pytest.mark.parametrize("experiment, instance, param", [
+        ("counterexample", "counterexample_binary.json", "n_list="),
+        ("counterexample", "counterexample_binary.json", "n_list=2,,4"),
+        ("counterexample", "counterexample_binary.json", "n_list=2,4,"),
+        ("example1", None, "p="),
+        ("example1", None, "q=0,"),
+        ("frontier", "example1_taci.json", "w_sizes="),
+    ])
+    def test_empty_list_fails(self, tmp_path, capsys, experiment, instance, param):
+        out = tmp_path / "out.csv"
+        argv = ["run", "--experiment", experiment, "--out", str(out), "--param", param]
+        if instance:
+            argv += ["--instance", str(ROOT / "instances" / instance)]
+        assert main(argv) == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ExperimentError"
+        assert param.split("=")[0] in rec["message"]
+
+
 class TestSimulateAndZeroRate:
     def test_zero_rate_summary(self, tmp_path):
         inst = tmp_path / "zr.json"

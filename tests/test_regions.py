@@ -479,6 +479,11 @@ class TestTaciFrontier:
                     )
                     assert not strictly_better
 
+    def test_no_sizes_is_value_error(self):
+        # None asks for the default sizes; an empty tuple asks for no search
+        with pytest.raises(ValueError, match="w_sizes"):
+            FrontierConfig(w_sizes=())
+
     def test_empty_grid_gives_empty_list(self):
         joint, q_cond = self._example1_taci(0.25, 0.0)
         cfg = FrontierConfig(random_seeds=0, structured_seeds=0, rng_seed=0, w_sizes=(1,))
