@@ -2,7 +2,9 @@
 
 Instance files are JSON objects with ``p_suv`` and ``q_suv`` joint-pmf
 records (axes in declared order; row-major probs), an optional ``distortion``
-table with ``d_max``, and a free-form ``labels`` map.
+table with ``d_max``, and a free-form ``labels`` map.  ``read_record`` is the
+one reader of the format: every loader and validator of instance files parses
+them through it, and its errors name the file and the field.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ __all__ = [
     "zero_rate_binary_pair",
     "counterexample_pair",
     "hamming",
+    "LAWS",
+    "read_record",
+    "pair_from_record",
     "load_instance",
     "save_instance",
     "conditional_s_given_rest",
@@ -129,21 +134,49 @@ def save_instance(pair: HypothesisPair, path: str, labels: dict | None = None) -
         fh.write("\n")
 
 
-def load_instance(path: str) -> HypothesisPair:
+# the two joint-pmf records of an instance file: the null and the alternate law
+LAWS = ("p_suv", "q_suv")
+
+
+def read_record(path: str) -> dict:
+    """The JSON object of the instance file at ``path``, each law's ``probs``
+    shaped to its ``axes``.  A parse error (with line and column), a missing
+    field or probs that do not fill the axes raise ValueError naming the file
+    and the field; the mass is left to ``JointPmf``."""
     with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
-    for key in ("p_suv", "q_suv"):
-        if key not in rec:
-            raise ValueError(f"instance file {path} missing field {key!r}")
-    p = JointPmf.from_record(rec["p_suv"])
-    q = JointPmf.from_record(rec["q_suv"])
+        try:
+            rec = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"parse error in {path} at line {e.lineno} "
+                             f"column {e.colno}: {e.msg}") from e
+    for key in LAWS:
+        law = rec.get(key) if isinstance(rec, dict) else None
+        if not isinstance(law, dict):
+            raise ValueError(f"{path}: missing field {key!r}")
+        for sub in ("axes", "probs"):
+            if sub not in law:
+                raise ValueError(f"{path}: field {key!r} missing {sub!r}")
+        try:
+            law["probs"] = np.asarray(law["probs"], dtype=float).reshape(
+                [int(a["size"]) for a in law["axes"]])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: field {key!r} has malformed axes or probs: {e!r}") from e
+    return rec
+
+
+def pair_from_record(rec: dict) -> HypothesisPair:
+    """The hypothesis pair of a record that ``read_record`` returned."""
     distortion = rec.get("distortion")
     d_max = rec.get("d_max")
     return HypothesisPair(
-        p, q,
+        JointPmf.from_record(rec["p_suv"]), JointPmf.from_record(rec["q_suv"]),
         distortion=np.asarray(distortion, float) if distortion is not None else None,
         d_max=float(d_max) if d_max is not None else None,
     )
+
+
+def load_instance(path: str) -> HypothesisPair:
+    return pair_from_record(read_record(path))
 
 
 def conditional_s_given_rest(joint: JointPmf) -> np.ndarray:

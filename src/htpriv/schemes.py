@@ -101,9 +101,9 @@ class Codebook:
 # ---------------------------------------------------------------------------
 
 def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
-                   mutual_info_uw: float, u_size: int,
-                   max_codewords: int = MAX_CODEWORDS) -> Codebook:
-    """Draw ceil(exp(n (I(U;W) + eta))) i.i.d. codewords from p_w and bin them.
+                   mutual_info_uw: float, u_size: int) -> Codebook:
+    """Draw ceil(exp(n (I(U;W) + eta))) i.i.d. codewords from p_w and bin them;
+    more than ``MAX_CODEWORDS`` raises CodebookSizeError.
 
     Binning is uniform at rate R - |U||W| log(n+1)/n when the codebook rate
     exceeds R (after the type-counting correction); otherwise the bin map is
@@ -116,9 +116,9 @@ def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
     if rate < 0:
         raise ValueError("rate must be >= 0")
     m_exact = math.exp(n * (mutual_info_uw + eta))
-    if m_exact > max_codewords:
+    if m_exact > MAX_CODEWORDS:
         raise CodebookSizeError(
-            f"codebook of {m_exact:.3g} codewords exceeds cap {max_codewords}"
+            f"codebook of {m_exact:.3g} codewords exceeds cap {MAX_CODEWORDS}"
         )
     m = max(1, math.ceil(m_exact))
     rng = np.random.default_rng(seed)

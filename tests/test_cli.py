@@ -1,5 +1,6 @@
 """CLI contract: CSV schemas, determinism, exit codes, validation diagnostics."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from htpriv import instances, schemes
 from htpriv.cli import PARAM_KEYS, main, validate_instance
 from htpriv.probcore import Channel, JointPmf, binary_entropy
+from htpriv.regions import FrontierConfig
 
 
 def read_rows(path):
@@ -63,6 +65,17 @@ class TestExample2:
         assert len(eq_rows) == 4  # n in {1, 2} x both hypotheses
         for r in eq_rows:
             assert float(r[4]) == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_n_max_below_one_fails(self, tmp_path, capsys, n_max):
+        # n_max < 1 would write the tuple row and no equivocation row
+        out = tmp_path / "ex2.csv"
+        rc = main(["run", "--experiment", "example2", "--out", str(out),
+                   "--param", f"n_max={n_max}"])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ExperimentError" and "'n_max'" in rec["message"]
 
 
 class TestFrontierExperiment:
@@ -424,6 +437,44 @@ class TestValidate:
         assert rc == 0
         assert "u_marginals_equal=True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field, spoil", [
+        ("axes", lambda law: law.pop("axes")),
+        ("probs", lambda law: law["probs"].pop()),
+    ], ids=["missing_axes", "short_probs"])
+    def test_malformed_instance_names_file_and_field(self, tmp_path, capsys, field, spoil):
+        inst = tmp_path / "malformed.json"
+        instances.save_instance(instances.counterexample_pair(), str(inst))
+        rec = json.loads(inst.read_text(encoding="utf-8"))
+        spoil(rec["p_suv"])
+        inst.write_text(json.dumps(rec), encoding="utf-8")
+        out = tmp_path / "zr.csv"
+        rc = main(["run", "--experiment", "zero_rate", "--instance", str(inst),
+                   "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert str(inst) in err["message"] and field in err["message"]
+        assert main(["validate", "--instance", str(inst)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert str(inst) in err["message"] and field in err["message"]
+
+    def test_validate_and_run_agree_on_rounding_negative_entry(self, tmp_path, capsys):
+        # an entry of -1e-13 is within the mass tolerance that run applies
+        pair = instances.zero_rate_binary_pair()
+        inst = tmp_path / "tiny.json"
+        instances.save_instance(pair, str(inst))
+        rec = json.loads(inst.read_text(encoding="utf-8"))
+        rec["p_suv"]["probs"][rec["p_suv"]["probs"].index(0.0)] = -1e-13
+        inst.write_text(json.dumps(rec), encoding="utf-8")
+        diags = validate_instance(str(inst))
+        assert diags["p_suv_min_entry"] == -1e-13
+        assert diags["normalized"] and diags["u_marginals_equal"] is False
+        out = tmp_path / "zr.csv"
+        assert main(["run", "--experiment", "zero_rate", "--instance", str(inst),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("p_names, q_names", [
         (("S", "U", "V"), ("S", "U", "Y")),   # axes differ between hypotheses
         (("S", "X", "V"), ("S", "X", "V")),   # no U axis
@@ -496,6 +547,45 @@ class TestParams:
         rec = json.loads(capsys.readouterr().err.strip())
         unknown = params[0].split("=")[0]
         assert rec["error"] == "ExperimentError" and repr(unknown) in rec["message"]
+
+    @pytest.mark.parametrize("experiment, instance, param", [
+        ("simulate", "zero_rate_binary.json", "n=abc"),
+        ("frontier", "example1_taci.json", "random_seeds=x"),
+        ("simulate", "zero_rate_binary.json", "delta=abc"),
+        # a block length or trial count below 1, rejected before any warning
+        ("simulate", "zero_rate_binary.json", "n=-1"),
+        ("simulate", "zero_rate_binary.json", "trials=0"),
+        ("counterexample", "counterexample_binary.json", "n_list=2,0"),
+    ])
+    def test_rejected_value_names_key(self, tmp_path, capsys, experiment, instance, param):
+        out = tmp_path / "out.csv"
+        rc = main(["run", "--experiment", experiment, "--instance",
+                   str(ROOT / "instances" / instance), "--out", str(out), "--param", param])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        key, value = param.split("=")
+        assert rec["error"] == "ExperimentError"
+        assert repr(key) in rec["message"] and repr(value) in rec["message"]
+
+    @pytest.mark.parametrize("experiment", ["example1", "example2"])
+    def test_instance_rejected_where_not_read(self, tmp_path, capsys, experiment):
+        out = tmp_path / "out.csv"
+        rc = main(["run", "--experiment", experiment, "--out", str(out), "--instance",
+                   str(ROOT / "instances" / "example1_suv.json")])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ExperimentError" and "--instance" in rec["message"]
+
+    def test_config_keys_are_config_fields(self):
+        # keys forwarded to a config keep its defaults, so the CLI states none
+        def fields(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert set(PARAM_KEYS["frontier"]) == fields(FrontierConfig) - {"rng_seed"}
+        cli_only = {"n", "trials", "privacy", "privacy_trials"}
+        assert set(PARAM_KEYS["simulate"]) - cli_only == fields(schemes.SchemeConfig)
 
     def test_readme_commands_use_accepted_keys(self):
         commands = readme_run_commands()

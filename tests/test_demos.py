@@ -9,7 +9,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("script", ["finite_blocklength.py", "privacy_audits.py"])
+@pytest.mark.parametrize("script", ["finite_blocklength.py", "privacy_audits.py",
+                                    "tradeoff_regions.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

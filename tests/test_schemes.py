@@ -90,6 +90,14 @@ class TestBuildCodebook:
             build_codebook(Pmf([0.5, 0.5]), n=100, eta=0.05, rate=1.0, seed=0,
                            mutual_info_uw=math.log(2), u_size=2)
 
+    def test_size_cap_is_the_module_constant(self, monkeypatch):
+        # exp(4 (log 2 + 0.05)) is about 19.5 codewords
+        kw = dict(n=4, eta=0.05, rate=1.0, seed=0, mutual_info_uw=math.log(2), u_size=2)
+        assert build_codebook(Pmf([0.5, 0.5]), **kw).size == 20
+        monkeypatch.setattr(schemes, "MAX_CODEWORDS", 19)
+        with pytest.raises(CodebookSizeError, match="cap 19"):
+            build_codebook(Pmf([0.5, 0.5]), **kw)
+
 
 class TestLikelihoodEncode:
     def test_single_codeword_always_selected(self):
