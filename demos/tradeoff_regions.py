@@ -53,7 +53,7 @@ joint = JointPmf((("S", 2), ("U", 2), ("Y", 2), ("Z", 1)), pair.p.probs[..., Non
 q_cond = instances.conditional_s_given_rest(
     JointPmf((("S", 2), ("U", 2), ("Y", 2), ("Z", 1)), pair.q.probs[..., None])
 )
-cfg = FrontierConfig(random_seeds=40, structured_seeds=101, rng_seed=0, w_sizes=(2,))
+cfg = FrontierConfig(random_seeds=40, rng_seed=0, w_sizes=(2,))
 points = taci_frontier(joint, q_cond, cfg)
 print(f"\n== frontier search: {len(points)} nondominated points ==")
 for r in (0.0, 0.25, 0.5):

@@ -115,7 +115,6 @@ class PrivacyReport:
     hypothesis: int
     equivocation_per_letter: float            # nats
     causal_distortion_per_letter: float | None
-    exact: bool
     equivocation_stderr: float = 0.0
     distortion_stderr: float = 0.0
     biased: bool = False
@@ -422,7 +421,6 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
         n=n, hypothesis=hypothesis,
         equivocation_per_letter=eq_mean,
         causal_distortion_per_letter=dist_mean,
-        exact=False,
         equivocation_stderr=eq_se,
         distortion_stderr=dist_se,
         biased=biased,
@@ -434,8 +432,9 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
 # ---------------------------------------------------------------------------
 
 def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
-                         n_list, delta: float = 0.1) -> list[CounterexamplePoint]:
-    """Exact evaluation of the time-shared quantization scheme.
+                         n_list, delta: float) -> list[CounterexamplePoint]:
+    """Exact evaluation of the time-shared quantization scheme at typicality
+    slack ``delta``.
 
     Requires an instance with H_P(S|U,V) < H_P(S|V): the message must actually
     reveal something about the private letters for time sharing to buy

@@ -79,7 +79,7 @@ def _privacy(text):
 PARAM_KEYS = {
     "example1": {"p": _list(float), "q": _list(float), "r_step": _positive(float)},
     "example2": {"n_max": _positive(int)},
-    "frontier": {"random_seeds": int, "structured_seeds": int, "w_sizes": _list(int)},
+    "frontier": {"random_seeds": int, "w_sizes": _list(int)},
     "zero_rate": {},
     "simulate": {"scheme": str, "n": _positive(int), "trials": _positive(int),
                  "privacy": _privacy, "delta": float, "eta": float, "rate_nats": float,
@@ -306,7 +306,7 @@ def validate_instance(path: str) -> dict:
         diags[f"{key}_mass_residual"] = abs(float(arr.sum()) - 1.0)
         diags[f"{key}_min_entry"] = float(arr.min()) if arr.size else float("nan")
         try:
-            laws.append(JointPmf.from_record(rec[key]))
+            laws.append(JointPmf(rec[key]["axes"], arr))
         except ValueError:
             pass
     diags["normalized"] = len(laws) == 2

@@ -2,9 +2,10 @@
 
 Instance files are JSON objects with ``p_suv`` and ``q_suv`` joint-pmf
 records (axes in declared order; row-major probs), an optional ``distortion``
-table with ``d_max``, and a free-form ``labels`` map.  ``read_record`` is the
-one reader of the format: every loader and validator of instance files parses
-them through it, and its errors name the file and the field.
+table with ``d_max``, and a free-form ``labels`` map.  This module owns the
+format: ``save_instance`` is its one writer and ``read_record`` its one
+reader.  Every loader and validator of instance files parses them through
+``read_record``, and its errors name the file and the field.
 """
 
 from __future__ import annotations
@@ -80,29 +81,28 @@ def example2_taci_joint() -> JointPmf:
     return JointPmf(axes, p_suy[..., None])
 
 
-def zero_rate_binary_pair(p_u0: float = 0.5, flip: float = 0.2,
-                          q_u0: float = 0.8, q_flip: float = 0.35) -> HypothesisPair:
-    """Binary zero-rate test instance with S = U and noisy V observations."""
+def zero_rate_binary_pair() -> HypothesisPair:
+    """Binary zero-rate test instance with S = U and noisy V observations:
+    P(U=0) = 0.5 and V = U + Ber(0.2) under the null, Q(U=0) = 0.8 and
+    V = U + Ber(0.35) under the alternate."""
     pj = np.zeros((2, 2, 2))
     qj = np.zeros((2, 2, 2))
-    for u, v in itertools.product(range(2), repeat=2):
-        pu = p_u0 if u == 0 else 1.0 - p_u0
-        pv = 1.0 - flip if v == u else flip
-        pj[u, u, v] = pu * pv
-        qu = q_u0 if u == 0 else 1.0 - q_u0
-        qv = 1.0 - q_flip if v == u else q_flip
-        qj[u, u, v] = qu * qv
+    for joint, u0, flip in ((pj, 0.5, 0.2), (qj, 0.8, 0.35)):
+        for u, v in itertools.product(range(2), repeat=2):
+            pu = u0 if u == 0 else 1.0 - u0
+            pv = 1.0 - flip if v == u else flip
+            joint[u, u, v] = pu * pv
     axes = (("S", 2), ("U", 2), ("V", 2))
     return HypothesisPair(JointPmf(axes, pj), JointPmf(axes, qj),
                           distortion=hamming(2), d_max=1.0)
 
 
-def counterexample_pair(flip_s: float = 0.15, flip_v: float = 0.25) -> HypothesisPair:
+def counterexample_pair() -> HypothesisPair:
     """Testing-against-independence instance with H_P(S|U,V) < H_P(S|V):
-    U a fair coin, S = U + Ber(flip_s), V = U + Ber(flip_v); the alternate
+    U a fair coin, S = U + Ber(0.15), V = U + Ber(0.25); the alternate
     draws V independently with the same marginal."""
+    flip_s, flip_v = 0.15, 0.25
     pj = np.zeros((2, 2, 2))
-    qj = np.zeros((2, 2, 2))
     for s, u, v in itertools.product(range(2), repeat=3):
         pu = 0.5
         ps = 1.0 - flip_s if s == u else flip_s
@@ -120,12 +120,13 @@ def counterexample_pair(flip_s: float = 0.15, flip_v: float = 0.25) -> Hypothesi
 # instance files
 # ---------------------------------------------------------------------------
 
+def _law_record(joint: JointPmf) -> dict:
+    return {"axes": [{"name": n, "size": s} for n, s in joint.axes],
+            "probs": [float(x) for x in joint.probs.ravel()]}
+
+
 def save_instance(pair: HypothesisPair, path: str, labels: dict | None = None) -> None:
-    rec = {
-        "labels": labels or {},
-        "p_suv": json.loads(pair.p.to_json()),
-        "q_suv": json.loads(pair.q.to_json()),
-    }
+    rec = {"labels": labels or {}, "p_suv": _law_record(pair.p), "q_suv": _law_record(pair.q)}
     if pair.distortion is not None:
         rec["distortion"] = [[float(x) for x in row] for row in pair.distortion]
         rec["d_max"] = float(pair.d_max)
@@ -139,10 +140,11 @@ LAWS = ("p_suv", "q_suv")
 
 
 def read_record(path: str) -> dict:
-    """The JSON object of the instance file at ``path``, each law's ``probs``
-    shaped to its ``axes``.  A parse error (with line and column), a missing
-    field or probs that do not fill the axes raise ValueError naming the file
-    and the field; the mass is left to ``JointPmf``."""
+    """The JSON object of the instance file at ``path``, each law's ``axes``
+    as (name, size) pairs and its ``probs`` shaped to them.  A parse error
+    (with line and column), a missing field or probs that do not fill the axes
+    raise ValueError naming the file and the field; the mass is left to
+    ``JointPmf``."""
     with open(path, encoding="utf-8") as fh:
         try:
             rec = json.load(fh)
@@ -157,8 +159,9 @@ def read_record(path: str) -> dict:
             if sub not in law:
                 raise ValueError(f"{path}: field {key!r} missing {sub!r}")
         try:
+            law["axes"] = tuple((a["name"], int(a["size"])) for a in law["axes"])
             law["probs"] = np.asarray(law["probs"], dtype=float).reshape(
-                [int(a["size"]) for a in law["axes"]])
+                [size for _, size in law["axes"]])
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: field {key!r} has malformed axes or probs: {e!r}") from e
     return rec
@@ -169,7 +172,7 @@ def pair_from_record(rec: dict) -> HypothesisPair:
     distortion = rec.get("distortion")
     d_max = rec.get("d_max")
     return HypothesisPair(
-        JointPmf.from_record(rec["p_suv"]), JointPmf.from_record(rec["q_suv"]),
+        *(JointPmf(rec[key]["axes"], rec[key]["probs"]) for key in LAWS),
         distortion=np.asarray(distortion, float) if distortion is not None else None,
         d_max=float(d_max) if d_max is not None else None,
     )

@@ -9,7 +9,6 @@ value, never an overflow artifact).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -166,23 +165,6 @@ class JointPmf:
     def marginal_pmf(self, name: str) -> Pmf:
         return Pmf(self.marginal_array((name,)))
 
-    def to_json(self) -> str:
-        rec = {
-            "axes": [{"name": n, "size": s} for n, s in self.axes],
-            "probs": [float(x) for x in self.probs.ravel(order="C")],
-        }
-        return json.dumps(rec)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointPmf":
-        return cls.from_record(json.loads(text))
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "JointPmf":
-        axes = tuple((a["name"], int(a["size"])) for a in rec["axes"])
-        shape = tuple(s for _, s in axes)
-        return cls(axes, np.asarray(rec["probs"], dtype=float).reshape(shape))
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -330,13 +312,14 @@ def total_variation(p, q) -> float:
     return float(0.5 * np.abs(pa - qa).sum())
 
 
-def pmf_close(p, q, tol: float = PMF_EQ_TOL) -> bool:
-    """Sup-norm equality test used for indicator terms like 1(P_U = Q_U)."""
+def pmf_close(p, q) -> bool:
+    """Sup-norm equality within ``PMF_EQ_TOL``, used for indicator terms like
+    1(P_U = Q_U)."""
     pa = p.probs if isinstance(p, (Pmf, JointPmf)) else np.asarray(p, float)
     qa = q.probs if isinstance(q, (Pmf, JointPmf)) else np.asarray(q, float)
     if pa.shape != qa.shape:
         raise SupportMismatchError(f"shapes differ: {pa.shape} vs {qa.shape}")
-    return bool(np.abs(pa - qa).max() <= tol)
+    return bool(np.abs(pa - qa).max() <= PMF_EQ_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +335,10 @@ def binary_entropy(t: float) -> float:
     return float(-(1.0 - t) * math.log2(1.0 - t) - t * math.log2(t))
 
 
-def inv_binary_entropy(y: float, tol: float = 1e-12) -> float:
+def inv_binary_entropy(y: float) -> float:
     """Left branch of h_b^{-1}: the unique t in [0, 0.5] with h_b(t) = y bits.
 
-    Bisection to ``tol`` on the argument.
+    Bisection to 1e-12 on the argument.
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"inv_binary_entropy argument {y} outside [0, 1]")
@@ -364,7 +347,7 @@ def inv_binary_entropy(y: float, tol: float = 1e-12) -> float:
     if y == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if binary_entropy(mid) < y:
             lo = mid

@@ -115,20 +115,18 @@ class HypothesisPair:
         return self.law(hypothesis).marginal(order).probs.reshape(self.u_size(), -1)
 
 
-def attach_channel(joint: JointPmf, channel: Channel, from_axis: str = "U",
-                   new_axis: str = "W") -> JointPmf:
-    """Adjoin ``new_axis`` to ``joint`` through a memoryless channel from ``from_axis``."""
-    i = joint.axis_index(from_axis)
+def attach_channel(joint: JointPmf, channel: Channel) -> JointPmf:
+    """Adjoin a last axis W to ``joint`` through a memoryless channel from U."""
+    i = joint.axis_index("U")
     if channel.input_size != joint.axes[i][1]:
         raise ValueError(
-            f"channel input size {channel.input_size} != |{from_axis}| = {joint.axes[i][1]}"
+            f"channel input size {channel.input_size} != |U| = {joint.axes[i][1]}"
         )
     probs = joint.probs
     shape = [1] * probs.ndim + [channel.output_size]
     shape[i] = channel.input_size
     ext = probs[..., None] * channel.rows.reshape(shape)
-    axes = joint.axes + ((new_axis, channel.output_size),)
-    return JointPmf(axes, ext)
+    return JointPmf(joint.axes + (("W", channel.output_size),), ext)
 
 
 @dataclass(frozen=True)
@@ -250,16 +248,24 @@ def _ipf(base: np.ndarray, cons) -> tuple[np.ndarray, float]:
     Multiplicative per-block rescaling; the limit is the KL projection of
     ``base`` onto the intersection when it is nonempty within supp(base).
     Stops once a sweep starts within ``_IPF_TOL`` of every target, or after
-    ``_MAX_SWEEPS`` sweeps.  Returns (point, worst final residual).
+    ``_MAX_SWEEPS`` sweeps.  The first sweep makes every zero that a scaling
+    can make, and no later scaling undoes one, so it also stops after that
+    sweep when a target puts more than ``_RESIDUAL_TOL`` on a slice whose
+    marginal is then exactly 0: no sweep can bring that residual down.
+    Returns (point, worst final residual).
     """
     x = base.copy()
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(_MAX_SWEEPS):
         worst = 0.0
         for axes, tgt in cons:
             cur = _sum_to(x, axes)
             worst = max(worst, float(np.abs(cur - tgt).max()))
             x *= np.divide(tgt, cur, out=np.zeros_like(tgt), where=cur > 0)
         if worst < _IPF_TOL:
+            break
+        # checked once: in every sweep it would slow the long support solves
+        if sweep == 0 and any(np.any((tgt > _RESIDUAL_TOL) & (_sum_to(x, axes) == 0))
+                              for axes, tgt in cons):
             break
     # final residual after the last rescale
     return x, max(float(np.abs(_sum_to(x, axes) - tgt).max()) for axes, tgt in cons)
@@ -294,11 +300,14 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     raising H the floor is out of reach, and the last point is returned with
     its negative ``entropy_slack``.
 
-    A marginal residual still above 1e-11 after the I-projection's 220000
-    sweeps is taken as infeasible support (the constraints force mass where
-    the reference is zero) and yields objective +inf.  Mutually inconsistent
-    targets raise :class:`InfeasibleConstraintsError`; a repeated or
-    out-of-range axis, or a target of the wrong shape, raises ValueError.
+    A marginal residual above 1e-11 when the I-projection stops is taken as
+    infeasible support (the constraints force mass where the reference is
+    zero) and yields objective +inf.  When a target puts mass on a slice that
+    the first sweep leaves at exactly 0 this is proven after that sweep;
+    otherwise the residual is the one left after 220000 sweeps.  Mutually
+    inconsistent targets raise :class:`InfeasibleConstraintsError`; a
+    repeated or out-of-range axis, or a target of the wrong shape, raises
+    ValueError.
     """
     ref = np.asarray(problem.reference, dtype=float)
     cons = _broadcast_constraints(ref, problem.marginal_constraints)
@@ -529,26 +538,26 @@ def taci_alternate_law(p_suyz: JointPmf, q_s_given_uyz: np.ndarray) -> JointPmf:
 @dataclass(frozen=True)
 class FrontierConfig:
     """Search configuration for the auxiliary-channel frontier sweep: the
-    number of hill-climbed random channels and of structured interpolations
-    per |W|, the seed of the random draws, and the |W| values searched.  A
-    binary source with |W| = 2 also gets a fixed crossover grid of
-    ``_PAIR_GRID`` points per axis.  Negative seed counts and |W| < 1 raise
-    ValueError."""
+    number of hill-climbed random channels per |W|, the seed of their draws,
+    and the |W| values searched.  Each |W| is also seeded with
+    ``_INTERPOLATIONS`` structured channels, and a binary source with
+    |W| = 2 with a fixed crossover grid of ``_PAIR_GRID`` points per axis.
+    A negative ``random_seeds`` and |W| < 1 raise ValueError."""
 
     random_seeds: int = 200
-    structured_seeds: int = 201
     rng_seed: int = 0
     w_sizes: tuple[int, ...] | None = None   # default 1 .. |U|+2
 
     def __post_init__(self):
-        for name in ("random_seeds", "structured_seeds"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.random_seeds < 0:
+            raise ValueError(f"random_seeds must be >= 0, got {self.random_seeds}")
         if self.w_sizes is not None and (not self.w_sizes or min(self.w_sizes) < 1):
             raise ValueError(f"w_sizes must be None or non-empty with entries >= 1, "
                              f"got {self.w_sizes}")
 
 
+# structured channels per |W|: interpolations from a labeling to the uniform row
+_INTERPOLATIONS = 201
 # per-axis crossover grid for binary-output channels on a binary source
 _PAIR_GRID = 51
 
@@ -559,7 +568,7 @@ _PAIR_GRID = 51
 _IMPROVE_STEP, _IMPROVE_SHRINK, _IMPROVE_FLOOR, _IMPROVE_MAX_PASSES = 0.01, 0.5, 1e-4, 200
 
 
-def _structured_channels(nu: int, nw: int, count: int) -> list[np.ndarray]:
+def _structured_channels(nu: int, nw: int) -> list[np.ndarray]:
     """Deterministic seed family: interpolations between a per-symbol labeling
     and the uniform row (sweeping disclosure from full to none), plus, for
     binary-output channels on a binary source, a dense crossover grid."""
@@ -568,7 +577,7 @@ def _structured_channels(nu: int, nw: int, count: int) -> list[np.ndarray]:
     for u in range(nu):
         det[u, u % nw] = 1.0
     uni = np.full((nu, nw), 1.0 / nw)
-    for t in np.linspace(0.0, 1.0, count) if count > 0 else ():
+    for t in np.linspace(0.0, 1.0, _INTERPOLATIONS):
         out.append((1.0 - t) * det + t * uni)
     if nu == 2 and nw == 2:
         grid = np.linspace(0.0, 1.0, _PAIR_GRID)
@@ -610,11 +619,14 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
                   config: FrontierConfig | None = None) -> list[TradeoffPoint]:
     """Pareto-nondominated achievable points over sampled auxiliary channels.
 
-    Searches |W| in {1, ..., |U|+2} (the cardinality bound), seeding each size
-    with structured interpolations plus random channels, then hill-climbing a
-    random linear scalarization of (-rate, exponent, equivocation) coordinate
-    by coordinate.  Every emitted point stores its channel, so it can be
-    reproduced exactly by :func:`taci_point`.
+    Searches |W| in {1, ..., |U|+2} (the cardinality bound) unless
+    ``config.w_sizes`` names the sizes, seeding each size with the
+    ``_INTERPOLATIONS`` structured channels (and the crossover grid when
+    |U| = |W| = 2) plus ``config.random_seeds`` random channels, each of
+    which hill-climbs a random linear scalarization of (-rate, exponent,
+    equivocation) coordinate by coordinate.  So the front is never empty.
+    Every emitted point stores its channel, so it can be reproduced exactly
+    by :func:`taci_point`.
     """
     cfg = config or FrontierConfig()
     _require_taci_axes(p_suyz)
@@ -668,7 +680,7 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
     structured: list[np.ndarray] = []
     random_jobs: list[tuple[np.ndarray, np.ndarray]] = []
     for nw in w_sizes:
-        structured.extend(_structured_channels(nu, nw, cfg.structured_seeds))
+        structured.extend(_structured_channels(nu, nw))
         for _ in range(cfg.random_seeds):
             rows = rng.gamma(1.0, 1.0, size=(nu, nw))
             rows /= rows.sum(axis=1, keepdims=True)

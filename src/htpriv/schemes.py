@@ -81,15 +81,12 @@ class Codebook:
     """
 
     n: int
-    eta: float
-    rate: float
     p_w: Pmf
     codewords: np.ndarray
     bins: np.ndarray
     num_bins: int
     identity_binning: bool
     u_size: int
-    seed: int
 
     @property
     def size(self) -> int:
@@ -132,9 +129,8 @@ def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
         bins = np.arange(m)
         num_bins = m
         identity = True
-    return Codebook(n=n, eta=eta, rate=rate, p_w=p_w, codewords=codewords,
-                    bins=bins, num_bins=num_bins, identity_binning=identity,
-                    u_size=u_size, seed=seed)
+    return Codebook(n=n, p_w=p_w, codewords=codewords, bins=bins, num_bins=num_bins,
+                    identity_binning=identity, u_size=u_size)
 
 
 def min_entropy_decode(cb: Codebook, bins: np.ndarray, vblocks: np.ndarray,
@@ -454,8 +450,9 @@ class TrialStats:
     beta_interval: tuple[float, float]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054   # the standard normal quantile at 0.975
     if trials <= 0:
         raise ValueError("trials must be >= 1")
     phat = successes / trials

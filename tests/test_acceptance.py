@@ -67,8 +67,7 @@ def test_acceptance_1_example1_frontier_matches_closed_form():
         q_cond = instances.conditional_s_given_rest(
             JointPmf((("S", 2), ("U", 2), ("Y", 2), ("Z", 1)), pair.q.probs[..., None])
         )
-        cfg = FrontierConfig(random_seeds=60, structured_seeds=201,
-                             rng_seed=MASTER_SEED, w_sizes=(2,))
+        cfg = FrontierConfig(random_seeds=60, rng_seed=MASTER_SEED, w_sizes=(2,))
         pts = taci_frontier(joint, q_cond, cfg)
         for r in np.arange(0.0, 0.501, 0.05):
             rate, kappa, lam = example1_closed_form(p, 0.0, float(r))

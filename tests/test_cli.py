@@ -90,8 +90,7 @@ class TestFrontierExperiment:
         out = tmp_path / "front.csv"
         rc = main(["run", "--experiment", "frontier", "--instance", str(inst),
                    "--out", str(out), "--seed", "3",
-                   "--param", "random_seeds=10", "--param", "structured_seeds=21",
-                   "--param", "w_sizes=2"])
+                   "--param", "random_seeds=10", "--param", "w_sizes=2"])
         assert rc == 0
         header, rows = read_rows(out)
         assert header == ["rate_bits", "exponent_bits", "privacy0", "privacy1",
@@ -105,8 +104,7 @@ class TestFrontierExperiment:
         pts = taci_frontier(
             instances.load_instance(str(inst)).p,
             instances.conditional_s_given_rest(instances.load_instance(str(inst)).q),
-            FrontierConfig(random_seeds=10, structured_seeds=21, rng_seed=3,
-                           w_sizes=(2,)),
+            FrontierConfig(random_seeds=10, rng_seed=3, w_sizes=(2,)),
         )
         ln2 = math.log(2.0)
         for row, pt in zip(rows, pts):
@@ -117,7 +115,7 @@ class TestFrontierExperiment:
 
     @pytest.mark.parametrize("param, field", [
         ("w_sizes=0", "w_sizes"), ("w_sizes=2,-1", "w_sizes"),
-        ("random_seeds=-3", "random_seeds"), ("structured_seeds=-1", "structured_seeds"),
+        ("random_seeds=-3", "random_seeds"),
     ])
     def test_bad_search_size_fails(self, tmp_path, capsys, param, field):
         out = tmp_path / "front.csv"
@@ -128,6 +126,17 @@ class TestFrontierExperiment:
         assert not out.exists()
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["error"] == "ValueError" and field in rec["message"]
+
+    def test_structured_seeds_is_unknown_key(self, tmp_path, capsys):
+        # the structured seed family is fixed; it is no parameter of the search
+        out = tmp_path / "front.csv"
+        rc = main(["run", "--experiment", "frontier", "--instance",
+                   str(ROOT / "instances" / "example1_taci.json"), "--out", str(out),
+                   "--param", "structured_seeds=5"])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ExperimentError" and "structured_seeds" in rec["message"]
 
 
 class TestEmptyListParams:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from htpriv.instances import load_instance, save_instance
 from htpriv.probcore import (
     Channel,
     JointPmf,
@@ -31,6 +32,7 @@ from htpriv.probcore import (
     type_counts,
     typical_rows,
 )
+from htpriv.regions import HypothesisPair
 
 from conftest import MASTER_SEED, PROPERTY_CASES, random_joint, random_pmf
 
@@ -284,18 +286,25 @@ class TestRandomizedInvariants:
 
 
 class TestSerialization:
-    def test_json_roundtrip_preserves_axis_order(self):
+    # the laws of an instance file: save_instance writes them, load_instance reads them
+    def test_json_roundtrip_preserves_axis_order(self, tmp_path):
         rng = np.random.default_rng(MASTER_SEED + 7)
-        j = random_joint(rng, (2, 3, 2), names=("S", "U", "V"))
-        back = JointPmf.from_json(j.to_json())
-        assert back.axes == j.axes
-        np.testing.assert_array_equal(back.probs, j.probs)
+        p, q = (random_joint(rng, (3, 2, 2), names=("U", "S", "V")) for _ in range(2))
+        path = str(tmp_path / "inst.json")
+        save_instance(HypothesisPair(p, q), path)
+        back = load_instance(path)
+        for got, want in ((back.p, p), (back.q, q)):
+            assert got.axes == want.axes
+            np.testing.assert_array_equal(got.probs, want.probs)
 
-    def test_json_schema_fields(self):
-        j = JointPmf((("X", 2),), [0.25, 0.75])
-        rec = json.loads(j.to_json())
-        assert rec["axes"] == [{"name": "X", "size": 2}]
-        assert rec["probs"] == [0.25, 0.75]
+    def test_json_schema_fields(self, tmp_path):
+        law = JointPmf((("S", 2), ("U", 1)), [[0.25], [0.75]])
+        path = tmp_path / "inst.json"
+        save_instance(HypothesisPair(law, law), str(path))
+        rec = json.loads(path.read_text(encoding="utf-8"))
+        for key in ("p_suv", "q_suv"):
+            assert rec[key]["axes"] == [{"name": "S", "size": 2}, {"name": "U", "size": 1}]
+            assert rec[key]["probs"] == [0.25, 0.75]
 
 
 class TestValidation:

@@ -114,7 +114,9 @@ class TestExponentE1:
         axes = (("S", 2), ("U", 2), ("V", 2))
         pair = HypothesisPair(JointPmf(axes, pj), JointPmf(axes, qj))
         chan = Channel(np.eye(2))
+        start = time.perf_counter()
         assert exponent_e1(pair, chan) == math.inf
+        assert time.perf_counter() - start < 1.0
 
     def test_inconsistent_constraints_error(self):
         ref = np.full((2, 2), 0.25)
@@ -420,8 +422,7 @@ class TestTaciFrontier:
 
     def test_matches_closed_form_at_q_zero(self):
         joint, q_cond = self._example1_taci(0.25, 0.0)
-        cfg = FrontierConfig(random_seeds=40, structured_seeds=101,
-                             rng_seed=MASTER_SEED, w_sizes=(2,))
+        cfg = FrontierConfig(random_seeds=40, rng_seed=MASTER_SEED, w_sizes=(2,))
         pts = taci_frontier(joint, q_cond, cfg)
         for r in np.arange(0.0, 0.501, 0.05):
             rate, kappa, lam = example1_closed_form(0.25, 0.0, float(r))
@@ -434,8 +435,7 @@ class TestTaciFrontier:
 
     def test_frontier_points_reproducible(self):
         joint, q_cond = self._example1_taci(0.25, 0.1)
-        cfg = FrontierConfig(random_seeds=10, structured_seeds=11,
-                             rng_seed=MASTER_SEED, w_sizes=(2,))
+        cfg = FrontierConfig(random_seeds=10, rng_seed=MASTER_SEED, w_sizes=(2,))
         pts = taci_frontier(joint, q_cond, cfg)
         assert pts
         for p in pts[:20]:
@@ -452,8 +452,7 @@ class TestTaciFrontier:
         probs = np.einsum("su,y->suy", p_su, p_y)[..., None]
         joint = JointPmf((("S", 2), ("U", 2), ("Y", 2), ("Z", 1)), probs)
         q_cond = np.full((2, 2, 1, 2), 0.5)
-        cfg = FrontierConfig(random_seeds=20, structured_seeds=11,
-                             rng_seed=MASTER_SEED, w_sizes=(1, 2))
+        cfg = FrontierConfig(random_seeds=20, rng_seed=MASTER_SEED, w_sizes=(1, 2))
         pts = taci_frontier(joint, q_cond, cfg)
         assert pts
         assert all(abs(p.exponent) < 1e-9 for p in pts)
@@ -463,8 +462,7 @@ class TestTaciFrontier:
         joint = random_taci_joint(rng, ns=2, nu=2, ny=2, nz=1)
         q_cond = rng.gamma(1, 1, (2, 2, 1, 2))
         q_cond /= q_cond.sum(-1, keepdims=True)
-        cfg = FrontierConfig(random_seeds=60, structured_seeds=41,
-                             rng_seed=MASTER_SEED, w_sizes=(2,))
+        cfg = FrontierConfig(random_seeds=60, rng_seed=MASTER_SEED, w_sizes=(2,))
         pts = taci_frontier(joint, q_cond, cfg)
         # no exhaustively-gridded |W|=2 channel may dominate a frontier point
         grid = np.arange(0.0, 1.0001, 0.02)
@@ -484,10 +482,14 @@ class TestTaciFrontier:
         with pytest.raises(ValueError, match="w_sizes"):
             FrontierConfig(w_sizes=())
 
-    def test_empty_grid_gives_empty_list(self):
+    def test_trivial_channel_gives_one_point(self):
+        # |W| = 1 discloses nothing: every structured seed is the same point
         joint, q_cond = self._example1_taci(0.25, 0.0)
-        cfg = FrontierConfig(random_seeds=0, structured_seeds=0, rng_seed=0, w_sizes=(1,))
-        assert taci_frontier(joint, q_cond, cfg) == []
+        cfg = FrontierConfig(random_seeds=0, rng_seed=0, w_sizes=(1,))
+        (pt,) = taci_frontier(joint, q_cond, cfg)
+        assert (pt.rate, pt.exponent) == (0.0, 0.0)
+        assert pt.privacy0 == pytest.approx(
+            conditional_entropy(joint, "S", ("Y", "Z")), abs=1e-15)
 
 
 class TestExample1ClosedForm:
@@ -566,7 +568,9 @@ class TestZeroRate:
         p_u = Pmf([0.3, 0.7])
         p_v = Pmf([0.5, 0.5])
         q = JointPmf((("U", 2), ("V", 2)), np.array([[0.5, 0.5], [0.0, 0.0]]))
+        start = time.perf_counter()
         assert zero_rate_exponent(p_u, p_v, q) == math.inf
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBayesEstimator:

@@ -44,9 +44,9 @@ def toy_codebook(codewords, bins=None, p_w=(0.5, 0.5), n=None, u_size=2,
     cw = np.asarray(codewords, dtype=np.int64)
     n = n or cw.shape[1]
     bins = np.asarray(bins if bins is not None else np.zeros(cw.shape[0]), dtype=np.int64)
-    return Codebook(n=n, eta=0.05, rate=1.0, p_w=Pmf(p_w), codewords=cw,
+    return Codebook(n=n, p_w=Pmf(p_w), codewords=cw,
                     bins=bins, num_bins=int(bins.max()) + 1,
-                    identity_binning=identity, u_size=u_size, seed=0)
+                    identity_binning=identity, u_size=u_size)
 
 
 def sent(law, block) -> dict:
@@ -219,9 +219,9 @@ class TestMinEntropyDecode:
             identity = case % 10 == 0
             bins = np.arange(len(cw)) if identity else rng.integers(0, num_bins, size=len(cw))
             p_w = rng.dirichlet(np.ones(nw))
-            cb = Codebook(n=n, eta=0.05, rate=1.0, p_w=Pmf(p_w), codewords=cw, bins=bins,
+            cb = Codebook(n=n, p_w=Pmf(p_w), codewords=cw, bins=bins,
                           num_bins=len(cw) if identity else num_bins,
-                          identity_binning=identity, u_size=2, seed=0)
+                          identity_binning=identity, u_size=2)
             delta_hat = float(rng.choice([0.0, 0.15, 0.3, 1.0]))
             qbins = rng.integers(0, cb.num_bins, size=20)
             vblocks = rng.integers(0, nv, size=(20, n))
@@ -244,10 +244,10 @@ def random_likelihood_setup(rng, n, nu, nw) -> LikelihoodSetup:
     size = int(rng.integers(1, 9))
     identity = rng.random() < 0.25
     bins = np.arange(size) if identity else rng.integers(0, 3, size=size)
-    cb = Codebook(n=n, eta=0.05, rate=1.0, p_w=Pmf(rng.dirichlet(np.ones(nw))),
+    cb = Codebook(n=n, p_w=Pmf(rng.dirichlet(np.ones(nw))),
                   codewords=rng.integers(0, nw, size=(size, n)), bins=bins,
                   num_bins=size if identity else 3, identity_binning=identity,
-                  u_size=nu, seed=0)
+                  u_size=nu)
     return LikelihoodSetup(cb, Channel(rng.dirichlet(np.ones(nu), size=nw)),
                            rng.dirichlet(np.ones(nu * nw)).reshape(nu, nw),
                            rng.dirichlet(np.ones(nw * 2)).reshape(nw, 2))
