@@ -17,9 +17,10 @@ file, and ``--instance`` missing or given to an experiment that reads none;
 the error names the key, file or field.  A failed run leaves the file at
 ``--out`` as it was: the CSV is written to a temp file beside it and moved
 into place only when complete.  Degenerate regimes, such as a simulated or
-counterexample scheme whose typical set is empty at some n or a privacy
-estimate that fell back to the biased importance-sampling branch, print one
-JSON warning line on stderr each.
+counterexample scheme whose typical set is empty at some n, a privacy
+estimate that fell back to the biased importance-sampling branch, or a
+zero-rate exponent that is +inf only because the coupling solver ran out of
+sweeps, print one JSON warning line on stderr each.
 """
 
 from __future__ import annotations
@@ -204,7 +205,11 @@ def _run_zero_rate(pair, params, seed):
     q_uv = pair.uv_law(1)
     flat_q = JointPmf((("U", q_uv.shape[0]), ("V", q_uv.shape[1])), q_uv)
     p_v = Pmf(pair.uv_law(0).sum(axis=0))
-    exponent = regions.zero_rate_exponent(pair.p.marginal_pmf("U"), p_v, flat_q)
+    sol = regions.zero_rate_exponent_solution(pair.p.marginal_pmf("U"), p_v, flat_q)
+    exponent = sol.objective
+    if math.isinf(exponent) and sol.stop == "sweep_cap":
+        print(json.dumps({"warning": "unproven_infinity", "residual": sol.residual}),
+              file=sys.stderr)
     priv = regions.zero_rate_privacy(pair)
     rows = [(
         nats_to_bits(exponent),

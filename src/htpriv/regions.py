@@ -190,14 +190,23 @@ class CouplingSolution:
     residual: float                  # worst marginal-constraint violation
     entropy_slack: float             # H - floor at the solution (0.0 if unconstrained)
     multiplier: float                # entropy-constraint multiplier (0 if inactive)
+    # what ended the I-projection behind ``coupling`` (the last one, with a
+    # floor): "converged", "empty_slice", "certificate" or "sweep_cap"; only
+    # "sweep_cap" leaves an infinite objective unproven
+    stop: str
 
 
 _RESIDUAL_TOL = 1e-11   # worst marginal residual of a feasible answer
 _INACTIVE_TOL = 1e-9    # an entropy floor missed by less is inactive
-# an I-projection ends once every marginal is within _IPF_TOL, or after
-# _MAX_SWEEPS sweeps; a support problem whose residual is then above
-# _RESIDUAL_TOL is reported infeasible
+# an I-projection ends once every marginal is within _IPF_TOL, once its
+# scalings prove the support infeasible, or after _MAX_SWEEPS sweeps; only in
+# the last case is a residual above _RESIDUAL_TOL taken as infeasibility
+# without proof
 _IPF_TOL, _MAX_SWEEPS = 1e-14, 220000
+# the scalings of sweeps _WINDOW_START .. 2 _WINDOW_START - 1, then of each
+# following window of doubled length, are tested as a Farkas certificate that
+# must clear _FARKAS_TOL times their largest log
+_WINDOW_START, _FARKAS_TOL = 64, 1e-9
 # a fixed-multiplier solve ends once no coordinate moves more than _STEP_TOL
 _STEP_TOL, _MAX_STEPS = 1e-14, 1000
 
@@ -242,33 +251,75 @@ def _broadcast_constraints(ref: np.ndarray, constraints) -> list:
     return cons
 
 
-def _ipf(base: np.ndarray, cons) -> tuple[np.ndarray, float]:
+def _certifies(support: np.ndarray, cons, windows) -> bool:
+    """Whether the potentials phi_k = log(window_k) prove that no x >= 0 on
+    ``support`` meets every target.
+
+    Such an x vanishes on each slice whose target is 0 (there the window, a
+    product of zero ratios, has log -inf), so on the other cells
+    sum_k <phi_k, t_k> = sum x sum_k phi_k <= max sum_k phi_k (Farkas).  A
+    window that is not finite on a slice with target mass proves nothing.
+    """
+    gain, scale, total = 0.0, 0.0, np.zeros(support.shape)
+    with np.errstate(divide="ignore"):
+        for (_, tgt), win in zip(cons, windows):
+            phi, on = np.log(win), tgt > 0
+            if not np.isfinite(phi[on]).all():
+                return False
+            gain += float(tgt[on] @ phi[on])
+            scale = max(scale, float(np.abs(phi[on]).max()))
+            total = total + phi
+    return gain - float(total.max(where=support, initial=-np.inf)) > _FARKAS_TOL * scale
+
+
+def _ipf(base: np.ndarray, cons) -> tuple[np.ndarray, float, str]:
     """Cyclic I-projection of ``base`` onto broadcast marginal constraints.
 
     Multiplicative per-block rescaling; the limit is the KL projection of
     ``base`` onto the intersection when it is nonempty within supp(base).
-    Stops once a sweep starts within ``_IPF_TOL`` of every target, or after
-    ``_MAX_SWEEPS`` sweeps.  The first sweep makes every zero that a scaling
-    can make, and no later scaling undoes one, so it also stops after that
-    sweep when a target puts more than ``_RESIDUAL_TOL`` on a slice whose
-    marginal is then exactly 0: no sweep can bring that residual down.
-    Returns (point, worst final residual).
+    Stops once a sweep starts within ``_IPF_TOL`` of every target
+    ("converged"), or after ``_MAX_SWEEPS`` sweeps ("sweep_cap").  Two stops
+    prove the intersection empty.  The first sweep makes every zero that a
+    scaling can make, and no later scaling undoes one, so it stops after
+    that sweep when a target puts more than ``_RESIDUAL_TOL`` on a slice
+    whose marginal is then exactly 0 ("empty_slice").  From sweep
+    ``_WINDOW_START`` on, each constraint's ratios are multiplied into a
+    window, and at each doubling of the sweep count the windows' logs are
+    tested as a Farkas certificate (:func:`_certifies`, "certificate"); on an
+    empty intersection the log-scalings grow along such a ray.  The windows
+    never touch the point, so a feasible projection is the same with or
+    without them.  Returns (point, worst final residual, stop reason).
     """
-    x = base.copy()
+    x, windows, check = base.copy(), None, 2 * _WINDOW_START
+    stop = "sweep_cap"
     for sweep in range(_MAX_SWEEPS):
+        if sweep == _WINDOW_START:
+            windows = [np.ones_like(tgt) for _, tgt in cons]
         worst = 0.0
-        for axes, tgt in cons:
+        for k, (axes, tgt) in enumerate(cons):
             cur = _sum_to(x, axes)
             worst = max(worst, float(np.abs(cur - tgt).max()))
-            x *= np.divide(tgt, cur, out=np.zeros_like(tgt), where=cur > 0)
+            ratio = np.divide(tgt, cur, out=np.zeros_like(tgt), where=cur > 0)
+            x *= ratio
+            if windows is not None:
+                windows[k] *= ratio
         if worst < _IPF_TOL:
+            stop = "converged"
             break
         # checked once: in every sweep it would slow the long support solves
         if sweep == 0 and any(np.any((tgt > _RESIDUAL_TOL) & (_sum_to(x, axes) == 0))
                               for axes, tgt in cons):
+            stop = "empty_slice"
             break
+        if sweep + 1 == check:
+            if _certifies(base > 0, cons, windows):
+                stop = "certificate"
+                break
+            check *= 2
+            for win in windows:
+                win.fill(1.0)
     # final residual after the last rescale
-    return x, max(float(np.abs(_sum_to(x, axes) - tgt).max()) for axes, tgt in cons)
+    return x, max(float(np.abs(_sum_to(x, axes) - tgt).max()) for axes, tgt in cons), stop
 
 
 def _grad_neg_cond_entropy(x: np.ndarray, target, given) -> np.ndarray:
@@ -300,11 +351,19 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     raising H the floor is out of reach, and the last point is returned with
     its negative ``entropy_slack``.
 
-    A marginal residual above 1e-11 when the I-projection stops is taken as
-    infeasible support (the constraints force mass where the reference is
-    zero) and yields objective +inf.  When a target puts mass on a slice that
-    the first sweep leaves at exactly 0 this is proven after that sweep;
-    otherwise the residual is the one left after 220000 sweeps.  Mutually
+    Objective +inf means infeasible support: the constraints force mass
+    where the reference is zero.  It is proven when a target puts mass on a
+    slice that the first sweep leaves at exactly 0, or by a Farkas
+    certificate.  Take potentials phi_k, one per constraint, broadcast like
+    its target, and g(phi) = sum_k <phi_k, t_k> - max over cells of
+    supp(ref) of sum_k phi_k(cell).  An x >= 0 on supp(ref) that met every
+    target t_k would give sum_k <phi_k, t_k> = sum over cells of
+    x sum_k phi_k <= max, so g(phi) <= 0; g(phi) > 0 proves the problem
+    infeasible.  On an infeasible problem the I-projection's log-scalings
+    grow along such a ray, and the solve stops as soon as a window of them
+    gives g > 1e-9 max |phi|.  When 220000 sweeps run out instead, +inf is
+    read off a residual above 1e-11 and is unproven; ``stop`` tells these
+    apart.  Mutually
     inconsistent targets raise :class:`InfeasibleConstraintsError`; a
     repeated or out-of-range axis, or a target of the wrong shape, raises
     ValueError.
@@ -312,18 +371,19 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     ref = np.asarray(problem.reference, dtype=float)
     cons = _broadcast_constraints(ref, problem.marginal_constraints)
 
-    x, res = _ipf(ref, cons)
-    if res > _RESIDUAL_TOL:
-        return CouplingSolution(math.inf, None, res, 0.0, 0.0)
+    x, res, stop = _ipf(ref, cons)
+    # an empty slice always leaves a residual above the tolerance
+    if stop == "certificate" or res > _RESIDUAL_TOL:
+        return CouplingSolution(math.inf, None, res, 0.0, 0.0, stop)
 
     if problem.entropy_floor is None:
-        return CouplingSolution(kl_of_arrays(x, ref), x, res, 0.0, 0.0)
+        return CouplingSolution(kl_of_arrays(x, ref), x, res, 0.0, 0.0, stop)
 
     target, given, floor = problem.entropy_floor
     target, given = tuple(target), tuple(given)
     h = cond_entropy_of_array(x, target, given)
     if h >= floor - _INACTIVE_TOL:
-        return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, 0.0)
+        return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, 0.0, stop)
 
     sup = ref > 0
     logref = np.where(sup, np.log(np.where(sup, ref, 1.0)), -np.inf)
@@ -336,16 +396,16 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
             logbase = (logref + t * (logx - _grad_neg_cond_entropy(x, target, given))) / (1 + t)
             ok = np.isfinite(logbase)
             base = np.where(ok, np.exp(np.where(ok, logbase, 0.0) - logbase[ok].max()), 0.0)
-            xn, res = _ipf(base, cons)
+            xn, res, stop = _ipf(base, cons)
             moved = float(np.abs(xn - x).max())
             x = xn
             if moved <= _STEP_TOL:
                 break
-        return x, res, cond_entropy_of_array(x, target, given)
+        return x, res, stop, cond_entropy_of_array(x, target, given)
 
     lo, h_lo, hi = 0.0, h, 1.0
     while True:
-        x_hi, res_hi, h_hi = solve(hi, x)
+        x_hi, res_hi, stop_hi, h_hi = solve(hi, x)
         if h_hi >= floor or h_hi - h_lo <= 1e-12:  # met, or out of reach
             break
         lo, h_lo, x = hi, h_hi, x_hi
@@ -353,12 +413,12 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     # bisect to complementary slackness 1e-12, or until t is resolved to rounding
     while h_hi >= floor and max(hi, 1.0) * (h_hi - floor) > 1e-12 and hi - lo > 1e-14 * hi:
         mid = 0.5 * (lo + hi)
-        xm, rm, hm = solve(mid, x_hi)
+        xm, rm, sm, hm = solve(mid, x_hi)
         if hm >= floor:
-            hi, x_hi, res_hi, h_hi = mid, xm, rm, hm
+            hi, x_hi, res_hi, stop_hi, h_hi = mid, xm, rm, sm, hm
         else:
             lo = mid
-    return CouplingSolution(kl_of_arrays(x_hi, ref), x_hi, res_hi, h_hi - floor, hi)
+    return CouplingSolution(kl_of_arrays(x_hi, ref), x_hi, res_hi, h_hi - floor, hi, stop_hi)
 
 
 # ---------------------------------------------------------------------------

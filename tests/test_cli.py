@@ -10,12 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from htpriv import instances, schemes
 from htpriv.cli import PARAM_KEYS, main, validate_instance
 from htpriv.probcore import Channel, JointPmf, binary_entropy
-from htpriv.regions import FrontierConfig
+from htpriv.regions import FrontierConfig, HypothesisPair
 
 
 def read_rows(path):
@@ -173,6 +174,32 @@ class TestSimulateAndZeroRate:
         header, rows = read_rows(out)
         assert header[0] == "exponent_bits"
         assert float(rows[0][0]) > 0
+
+    @pytest.mark.parametrize("p_u, p_v, q_uv, warned", [
+        # the one coupling with uniform marginals lies on the support boundary,
+        # which 300 sweeps do not reach
+        ([0.5, 0.5], [0.5, 0.5], [[0.4, 0.3], [0.3, 0.0]], True),
+        # a diagonal support cannot carry unequal marginals: a proven +inf
+        ([0.5, 0.5], [0.2, 0.8], [[0.5, 0.0], [0.0, 0.5]], False),
+    ], ids=["sweep_cap", "certificate"])
+    def test_unproven_infinity_warning(self, tmp_path, capsys, monkeypatch,
+                                       p_u, p_v, q_uv, warned):
+        monkeypatch.setattr("htpriv.regions._MAX_SWEEPS", 300)
+        axes = (("S", 2), ("U", 2), ("V", 2))
+        # S = U under both laws
+        pj, qj = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+        pj[[0, 1], [0, 1]], qj[[0, 1], [0, 1]] = np.outer(p_u, p_v), q_uv
+        inst = tmp_path / "boundary.json"
+        instances.save_instance(HypothesisPair(JointPmf(axes, pj), JointPmf(axes, qj)), str(inst))
+        out = tmp_path / "zr.csv"
+        rc = main(["run", "--experiment", "zero_rate", "--instance", str(inst),
+                   "--out", str(out)])
+        assert rc == 0
+        warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [w["warning"] for w in warnings] == (["unproven_infinity"] if warned else [])
+        assert all(w["residual"] > 1e-11 for w in warnings)
+        _, rows = read_rows(out)
+        assert rows[0][0] == "inf"
 
     def test_simulate_smoke(self, tmp_path):
         inst = tmp_path / "zr.json"

@@ -19,6 +19,7 @@ from htpriv.probcore import (
     conditional_mutual_information,
     entropy,
     kl_of_arrays,
+    marginal_of_array,
     mutual_information,
 )
 from htpriv.regions import (
@@ -615,7 +616,7 @@ class TestOptimizerCertificates:
     def restarted(problem, x0) -> float:
         """KL to the reference of the I-projection started from ``x0``."""
         ref = problem.reference
-        x, _ = _ipf(x0, _broadcast_constraints(ref, problem.marginal_constraints))
+        x, _, _ = _ipf(x0, _broadcast_constraints(ref, problem.marginal_constraints))
         return kl_of_arrays(x, ref)
 
     def test_restart_agreement(self):
@@ -656,6 +657,112 @@ class TestOptimizerCertificates:
             assert val == pytest.approx(base, abs=1e-7)
 
 
+def slice_indicators(shape, cons):
+    """(0/1 indicator of the slice, target mass) for each slice of each
+    marginal constraint on a tensor of ``shape``."""
+    for axes, target in cons:
+        for cell in np.ndindex(np.shape(target)):
+            index = [slice(None)] * len(shape)
+            for axis, i in zip(axes, cell):
+                index[axis] = i
+            indicator = np.zeros(shape)
+            indicator[tuple(index)] = 1.0
+            yield indicator, target[cell]
+
+
+def two_marginals(ref, rows, cols) -> CouplingProblem:
+    return CouplingProblem(np.array(ref, dtype=float),
+                           (((0,), np.array(rows, dtype=float)), ((1,), np.array(cols, dtype=float))))
+
+
+class TestInfeasibilityCertificate:
+    """An infinite objective is proven by an empty slice after the first
+    sweep or by a Farkas certificate from the I-projection's scalings; only
+    the sweep cap leaves it unproven, and ``stop`` says which ended a solve."""
+
+    # the diagonal support forces equal marginals, and no marginal reaches 0
+    DIAGONAL = ([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.2, 0.8])
+    # the one coupling with these marginals lies on the support boundary
+    BOUNDARY = ([[0.4, 0.3], [0.3, 0.0]], [0.5, 0.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize("problem, stop", [
+        (([[0.4, 0.1], [0.2, 0.3]], [0.3, 0.7], [0.6, 0.4]), "converged"),
+        (([[0.5, 0.5], [0.0, 0.0]], [0.3, 0.7], [0.5, 0.5]), "empty_slice"),
+        (DIAGONAL, "certificate"),
+    ], ids=["converged", "empty_slice", "certificate"])
+    def test_stop_reason(self, problem, stop):
+        start = time.perf_counter()
+        sol = solve_coupling(two_marginals(*problem))
+        assert time.perf_counter() - start < 1.0
+        assert sol.stop == stop
+        assert math.isinf(sol.objective) == (stop != "converged")
+
+    def test_diagonal_support_keeps_its_residual(self):
+        # the point after the last sweep is diag(0.2, 0.8), 0.3 off each row
+        sol = solve_coupling(two_marginals(*self.DIAGONAL))
+        assert (sol.objective, sol.coupling, sol.residual) == (math.inf, None, 0.30000000000000004)
+
+    def test_sweep_cap_is_the_unproven_infinity(self, monkeypatch):
+        # the I-projection converges sublinearly to the boundary coupling, and
+        # the windows at 128 and 256 sweeps certify nothing
+        monkeypatch.setattr("htpriv.regions._MAX_SWEEPS", 300)
+        sol = solve_coupling(two_marginals(*self.BOUNDARY))
+        assert (sol.objective, sol.stop) == (math.inf, "sweep_cap")
+        assert sol.residual > 1e-11
+
+    def test_e1_on_a_diagonal_alternate_is_certified(self):
+        # the alternate law has U = V, so every coupling's (U, W) and (V, W)
+        # marginals agree, while the null's differ; no slice is ever empty
+        rng = np.random.default_rng(MASTER_SEED + 25)
+        p = random_suv_joint(rng)
+        q = random_suv_joint(rng).probs * np.eye(2)
+        pair = HypothesisPair(p, JointPmf(p.axes, q / q.sum()))
+        start = time.perf_counter()
+        sol = exponent_e1_solution(pair, random_channel(rng, 2, 2))
+        assert time.perf_counter() - start < 1.0
+        assert (sol.objective, sol.coupling, sol.stop) == (math.inf, None, "certificate")
+
+    SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2))
+    # E1, single letters, a chain and E2
+    AXES_3D = (((0, 2), (1, 2)), ((0,), (1,), (2,)), ((0, 1), (1, 2)), ((0, 2), (1,)))
+
+    def random_problem(self, rng):
+        """A reference with about a third of its cells zeroed, and the
+        marginals of a law on its support (feasible) or on every cell."""
+        shape = self.SHAPES[rng.integers(len(self.SHAPES))]
+        ref = rng.gamma(1, 1, shape) * (rng.random(shape) > 0.35)
+        ref.flat[rng.integers(ref.size)] += 1.0
+        law = rng.gamma(1, 1, shape) * ((ref > 0) if rng.random() < 0.4 else 1.0)
+        axes = ((0,), (1,)) if len(shape) == 2 else self.AXES_3D[rng.integers(len(self.AXES_3D))]
+        cons = tuple((a, marginal_of_array(law / law.sum(), a)) for a in axes)
+        return ref / ref.sum(), cons
+
+    @staticmethod
+    def lp_feasible(ref, cons) -> bool:
+        """Whether some x >= 0 on supp(ref) meets every target."""
+        from scipy.optimize import linprog
+
+        sup = ref > 0
+        rows, masses = zip(*((ind[sup], m) for ind, m in slice_indicators(ref.shape, cons)))
+        lp = linprog(np.zeros(int(sup.sum())), A_eq=np.array(rows), b_eq=np.array(masses),
+                     bounds=(0, None))
+        assert lp.status in (0, 2)   # solved, or proven infeasible
+        return lp.status == 0
+
+    def test_random_verdicts_agree_with_an_lp(self):
+        rng = np.random.default_rng(MASTER_SEED + 26)
+        stops = []
+        for _ in range(200):
+            ref, cons = self.random_problem(rng)
+            sol = solve_coupling(CouplingProblem(ref, cons))
+            feasible = self.lp_feasible(ref, cons)
+            assert sol.stop in (("converged",) if feasible else ("empty_slice", "certificate"))
+            assert math.isinf(sol.objective) != feasible
+            stops.append(sol.stop)
+        # enough of each kind that the check means something
+        assert min(stops.count(s) for s in ("converged", "empty_slice", "certificate")) >= 30
+
+
 def _seed11_draws(count=12):
     """(pair, channel) draws of generator seed 11, in the order TestExponentE2
     and the coupling benchmark take them."""
@@ -682,16 +789,7 @@ class TestEntropyFloorCertificates:
         log_w_given_v = np.log(x_vw / x_vw.sum(axis=1, keepdims=True))[None, :, :]
         grad = (np.log(np.where(sup, x, 1.0)) - np.log(np.where(sup, ref, 1.0))
                 + t * log_w_given_v)[sup]
-        columns = []
-        for axes, target in cons:
-            for cell in np.ndindex(np.shape(target)):
-                index = [slice(None)] * x.ndim
-                for axis, i in zip(axes, cell):
-                    index[axis] = i
-                indicator = np.zeros(x.shape)
-                indicator[tuple(index)] = 1.0
-                columns.append(indicator[sup])
-        span = np.array(columns).T
+        span = np.array([indicator[sup] for indicator, _ in slice_indicators(x.shape, cons)]).T
         coef, *_ = np.linalg.lstsq(span, grad, rcond=None)
         return float(np.abs(span @ coef - grad).max())
 
@@ -699,6 +797,7 @@ class TestEntropyFloorCertificates:
     def test_kkt_certificate(self, draw):
         pair, chan = _seed11_draws()[draw]
         _, sol = exponent_e2_solution(0.0, pair, chan)
+        assert sol.stop == "converged"
         assert sol.entropy_slack >= 0
         assert sol.multiplier > 0
         assert sol.multiplier * sol.entropy_slack <= 1e-10
