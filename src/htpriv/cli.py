@@ -17,7 +17,8 @@ file, and ``--instance`` missing or given to an experiment that reads none;
 the error names the key, file or field.  A failed run leaves the file at
 ``--out`` as it was: the CSV is written to a temp file beside it and moved
 into place only when complete.  Degenerate regimes, such as a simulated or
-counterexample scheme whose typical set is empty at some n, a privacy
+counterexample scheme whose typical set is empty at some n, a likelihood
+scheme whose rate is high enough that its codebook is not binned, a privacy
 estimate that fell back to the biased importance-sampling branch, or a
 zero-rate exponent that is +inf only because the coupling solver ran out of
 sweeps, print one JSON warning line on stderr each.
@@ -233,6 +234,13 @@ def _run_simulate(pair, params, seed):
                               f"{cfg.w_channel.input_size} rows")
     # the likelihood encoder tests u-typicality at delta' = delta/2
     _warn_empty_typical_set(pair, n, cfg.delta_prime if scheme == "likelihood" else cfg.delta)
+    if scheme == "likelihood":
+        # the codebook run_trials draws (same seed); with identity binning the
+        # message names the codeword and the binning stage is never exercised
+        cb = schemes.likelihood_setup(cfg, pair, n, seed).codebook
+        if cb.identity_binning:
+            print(json.dumps({"warning": "inactive_binning", "n": n, "codewords": cb.size,
+                              "rate_nats": cfg.rate_nats}), file=sys.stderr)
     stats = schemes.run_trials(cfg, pair, n, trials, seed)
     rows = [(
         "trials", scheme, n, trials, seed, stats.type1_errors,

@@ -40,6 +40,7 @@ __all__ = [
     "has_typical_sequence",
     "inverse_cdf",
     "choice_cdf",
+    "choice_draws",
     "block_index",
     "block_digits",
     "all_sequences",
@@ -408,8 +409,8 @@ def inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def choice_cdf(p) -> np.ndarray:
     """The cdf that ``Generator.choice(len(p), p=p)`` inverts: from the same
-    uniforms, ``choice_cdf(p).searchsorted(rng.random(shape), side="right")``
-    is that call's draw.  Rejects what ``choice`` rejects: a ``p`` that is
+    uniforms, ``choice_draws(choice_cdf(p), rng.random(shape))`` is that
+    call's draw.  Rejects what ``choice`` rejects: a ``p`` that is
     not 1-d, has a negative or non-finite entry, or does not sum to 1 within
     the square root of the float64 epsilon."""
     p = np.asarray(p, dtype=float)
@@ -424,6 +425,25 @@ def choice_cdf(p) -> np.ndarray:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
+
+
+def choice_draws(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The index of each uniform in [0, 1) under a cdf from :func:`choice_cdf`:
+    the values of ``cdf.searchsorted(uniforms, side="right")``, so the draw of
+    ``Generator.choice`` from the same uniforms.
+
+    The index is the number of cdf edges at or below the uniform.  The last
+    edge is exactly 1, above every uniform, so one comparison per interior
+    edge is added up, in the smallest unsigned integer type that holds
+    ``len(cdf)``; the result has that type, and arithmetic on it that can
+    leave its range needs a cast first.  The cost grows linearly with
+    ``len(cdf)``: for the few letters of a joint (U, V) or (S, U, V) law it
+    is a small fraction of a binary search's, which grows with its logarithm.
+    """
+    counts = np.zeros(np.shape(uniforms), dtype=np.min_scalar_type(len(cdf)))
+    for edge in cdf[:-1]:
+        counts += uniforms >= edge
+    return counts
 
 
 def is_typical(x: SequenceSample, p: Pmf, delta: float) -> bool:

@@ -222,9 +222,12 @@ def _broadcast_constraints(ref: np.ndarray, constraints) -> list:
 
     Raises ValueError on a malformed constraint and
     :class:`InfeasibleConstraintsError` when a target is not a pmf or two
-    targets disagree on their shared axes.
+    targets disagree on their shared axes.  The I-projection meets its
+    targets only if they carry one mass to within ``_IPF_TOL``, and a pmf
+    may miss 1 by up to 1e-9, so a target whose mass differs from the first
+    target's by more than ``_IPF_TOL`` is rescaled to that mass.
     """
-    cons = []
+    cons, masses = [], []
     for axes, tgt in constraints:
         axes, tgt = tuple(axes), np.asarray(tgt, dtype=float)
         if len(set(axes)) != len(axes) or not all(0 <= a < ref.ndim for a in axes):
@@ -241,6 +244,7 @@ def _broadcast_constraints(ref: np.ndarray, constraints) -> list:
             raise InfeasibleConstraintsError(f"constraint on axes {axes} has negative mass")
         shape = [ref.shape[a] if a in axes else 1 for a in range(ref.ndim)]
         cons.append((tuple(sorted(axes)), tgt.transpose(np.argsort(axes)).reshape(shape)))
+        masses.append(s)
     for i, (ai, ti) in enumerate(cons):
         for aj, tj in cons[i + 1:]:
             common = tuple(a for a in ai if a in aj)
@@ -248,7 +252,8 @@ def _broadcast_constraints(ref: np.ndarray, constraints) -> list:
                 raise InfeasibleConstraintsError(
                     f"constraints on axes {ai} and {aj} disagree on shared axes {common}"
                 )
-    return cons
+    return [(axes, tgt * (masses[0] / s) if abs(s - masses[0]) > _IPF_TOL else tgt)
+            for (axes, tgt), s in zip(cons, masses)]
 
 
 def _certifies(support: np.ndarray, cons, windows) -> bool:
@@ -334,7 +339,9 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     """Solve the constrained KL minimization.
 
     Each marginal target is checked once and reshaped to broadcast over the
-    reference.  With marginal constraints only the answer is the cyclic
+    reference; a target whose mass differs from the first one's by more than
+    1e-14 is rescaled to it, and the residual is measured against the
+    rescaled targets.  With marginal constraints only the answer is the cyclic
     I-projection of the reference, which converges geometrically and lands
     on the constraint set.
 

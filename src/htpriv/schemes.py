@@ -25,6 +25,7 @@ from .probcore import (
     block_digits,
     block_index,
     choice_cdf,
+    choice_draws,
     inverse_cdf,
     kl_of_arrays,
     type_counts,
@@ -473,7 +474,10 @@ def run_trials(config: SchemeConfig, pair: HypothesisPair, n: int, trials: int,
     grow with ``trials``; they equal the one-shot stream
     ``rng.choice(|U||V|, size=(trials, n), p=P_h(u, v))`` followed by
     ``rng.random(trials)``, because the message uniforms come from a copy of
-    the generator advanced past the trials * n letter uniforms."""
+    the generator advanced past the trials * n letter uniforms.  Each letter
+    is the count of the law's cdf edges at or below its uniform
+    (:func:`~htpriv.probcore.choice_draws`), one comparison per letter of
+    the (U, V) law, so the draw costs time linear in |U||V|."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scheme = make_scheme(config, pair, n, seed)
@@ -488,9 +492,11 @@ def run_trials(config: SchemeConfig, pair: HypothesisPair, n: int, trials: int,
         count = 0
         for rows in chunk_rows(trials, scheme.law.width * n):
             size = min(rows.stop, trials) - rows.start
-            flat = cdf.searchsorted(letters.random((size, n)), side="right")
-            codes = sample_codes(scheme.law, flat // nv, messages.random(size))
-            count += int(scheme.accepts(codes, flat % nv).sum())
+            # the blocks are widened because schemes form products such as
+            # u |W| + w that could overflow the draws' small type
+            draws = choice_draws(cdf, letters.random((size, n)))
+            codes = sample_codes(scheme.law, (draws // nv).astype(np.int64), messages.random(size))
+            count += int(scheme.accepts(codes, (draws % nv).astype(np.int64)).sum())
         accepted.append(count)
     t1, t2 = trials - accepted[0], accepted[1]
     return TrialStats(

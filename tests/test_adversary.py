@@ -1,7 +1,10 @@
 """Exact finite-n privacy audits: factorization identities, oracle agreement,
 and the time-sharing counterexample."""
 
+import hashlib
 import math
+import os
+import time
 import tracemalloc
 from functools import reduce
 
@@ -15,6 +18,7 @@ from htpriv.adversary import (
     PrivacyReport,
     SchemeModel,
     _block_tables,
+    _causal_bayes,
     _contract,
     _errors,
     _law_table,
@@ -38,6 +42,8 @@ from htpriv.regions import HypothesisPair, bayes_estimator
 from htpriv.schemes import SchemeConfig, build_codebook, make_scheme
 
 from conftest import MASTER_SEED, random_joint, random_suv_joint
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LN2 = math.log(2.0)
 
@@ -64,17 +70,20 @@ def kron_block_table(law, letter, n) -> np.ndarray:
 
 
 class TestBlockTable:
-    # (|S|, |U|, |V|): |U| above |S||V|, below it, and a trivial S axis as
-    # in the exact error probabilities
-    @pytest.mark.parametrize("shape", [(2, 5, 2), (3, 2, 2), (1, 3, 2)],
-                             ids=["u_above_sv", "u_below_sv", "trivial_s"])
+    # (|S|, |U|, |V|): |U| above |S||V|, below it, a trivial S axis as in the
+    # exact error probabilities, a trivial V axis and both; |S| != |V| where
+    # both exceed 1, so that swapped s- and v-digits of a block show
+    @pytest.mark.parametrize("shape", [(2, 5, 2), (3, 2, 2), (1, 3, 2), (3, 2, 1), (1, 2, 1)],
+                             ids=["u_above_sv", "u_below_sv", "trivial_s", "trivial_v",
+                                  "trivial_s_and_v"])
     def test_contraction_matches_kronecker_loop(self, shape, monkeypatch):
         # one message column per chunk: the stream is three chunks, in order
         monkeypatch.setattr(schemes, "CHUNK_CELLS", 1)
         rng = np.random.default_rng(MASTER_SEED + 60)
         pair = HypothesisPair(random_joint(rng, shape, names=("S", "U", "V")),
                               random_joint(rng, shape, names=("S", "U", "V")))
-        for n in (1, 2, 3, 4):
+        # n = 5 regroups two letters before the three sums in block order
+        for n in (1, 2, 3, 4, 5):
             law = random_message_law(rng, shape[1] ** n, 3)
             for hyp in (0, 1):
                 letter = pair.law(hyp).probs
@@ -83,6 +92,30 @@ class TestBlockTable:
                 got = np.concatenate([t for _, t in chunks])
                 np.testing.assert_allclose(got, kron_block_table(law, letter, n),
                                            rtol=0, atol=1e-12)
+
+
+class TestCausalBayesKernel:
+    def test_tied_actions_resolve_to_the_first_minimizer(self):
+        rng = np.random.default_rng(MASTER_SEED + 62)
+        ns, nv, n = 3, 2, 3
+        table = rng.random((2, ns ** n, nv ** n))
+        table /= table.sum()
+        # columns 1 and 2 repeat column 0 and column 3 repeats column 4, so
+        # every cell ties; column 5 costs 1 everywhere and never wins alone
+        base = rng.random((ns, 2))
+        d = np.stack([base[:, 0]] * 3 + [base[:, 1]] * 2 + [np.ones(ns)], axis=1)
+        seen = set()
+        for i, action, cost in _causal_bayes(table, d, n):
+            joint = table.reshape(2, ns ** (i - 1), ns, -1, nv ** n).sum(axis=3)
+            costs = np.einsum("mpsv,sa->ampv", joint, d)
+            np.testing.assert_array_equal(action, costs.argmin(axis=0))
+            assert cost == pytest.approx(float(costs.min(axis=0).sum()), rel=1e-12)
+            seen |= set(np.unique(action).tolist())
+        # both tied groups win somewhere, each only through its first column
+        assert seen == {0, 3}
+        # all actions tie in every cell: the first one is taken everywhere
+        for _, action, _ in _causal_bayes(table, np.zeros((ns, 4)), n):
+            assert not action.any()
 
 
 class TestExactEquivocation:
@@ -659,6 +692,16 @@ class TestChunkedAudits:
                       lambda: mc_privacy_estimate(model, pair, n, 0, trials=1000, seed=5)):
             assert self.traced_peak(audit) < table_bytes / 2
 
+    def test_bayes_step_keeps_about_one_table_beside_its_input(self):
+        # no (|A|, ...) cost tensor: per letter one joint, the best and the
+        # candidate cost and the actions, each at most 1/|S| of the table
+        pair, n = instances.example2_pair(), 5
+        model = message_map_model(4, n, lambda s: tuple(x % 2 for x in s))
+        (_, table), = _block_tables(model.law[:, :4], _letter_law(model, pair, n, 0), n)
+        assert pair.distortion.shape[1] == 4                # |A| / |S| = 1
+        peak = self.traced_peak(lambda: [i for i, _, _ in _causal_bayes(table, pair.distortion, n)])
+        assert peak < 1.5 * table.nbytes
+
     def test_error_peak_memory_below_half_a_message_by_vblock_table(self, monkeypatch):
         # timeshare at n=10: 913 messages by 2^10 v-blocks, 7.13 MiB per P_h[m, v]
         pair, n = instances.counterexample_pair(), 10
@@ -668,3 +711,46 @@ class TestChunkedAudits:
         table_bytes = 8 * model.num_messages * 2 ** n
         monkeypatch.setattr(schemes, "CHUNK_CELLS", 2 ** 14)
         assert self.traced_peak(lambda: _errors(scheme, model, codes, pair)) < table_bytes / 2
+
+
+class TestAuditDigest:
+    """One SHA-256 over the repr of exact audits, Monte Carlo estimates and
+    trial counts on the shipped instances at small n.  Every float repr is
+    exact, so any change to how these are computed that moves a bit fails
+    here, beside the README CSV digests."""
+
+    SHA256 = "9b9e6f477eb70139dc4a9fed8f29fe9e89c8788550abc59622f46b541e56e8a5"
+
+    @staticmethod
+    def results():
+        def load(name):
+            return instances.load_instance(os.path.join(ROOT, "instances", name))
+
+        ex2, zr, ce, ex1 = (load("example2_tai.json"), load("zero_rate_binary.json"),
+                            load("counterexample_binary.json"), load("example1_suv.json"))
+        parity = message_map_model(4, 4, lambda s: tuple(x % 2 for x in s))
+        lik_cfg = SchemeConfig(scheme="likelihood", delta=0.3, rate_nats=1.0,
+                               w_channel=Channel([[0.9, 0.1], [0.1, 0.9]]))
+        zr_cfg = SchemeConfig(scheme="zero_rate", delta=0.15)
+        ts_cfg = SchemeConfig(scheme="timeshare", delta=0.2, epsilon_star=0.25)
+        lik = make_scheme(lik_cfg, ex1, 5, seed=2)
+        lik_model = _law_table(lik.law)[0]
+        zr_model = scheme_model_for(zr_cfg, zr, 6, seed=0)
+        out = []
+        for model, pair, n in ((parity, ex2, 4), (zr_model, zr, 6), (lik_model, ex1, 5)):
+            for h in (0, 1):
+                out += [exact_equivocation(model, pair, n, h),
+                        exact_causal_distortion(model, pair, n, h),
+                        mc_privacy_estimate(model, pair, n, h, trials=500, seed=3)]
+        out += [exact_errors(lik, ex1), exact_errors(make_scheme(zr_cfg, zr, 6, 0), zr),
+                exact_errors(make_scheme(ts_cfg, ce, 6, 0), ce)]
+        out += [schemes.run_trials(zr_cfg, zr, 12, 20_000, 13),
+                schemes.run_trials(ts_cfg, ce, 12, 20_000, 13),
+                schemes.run_trials(lik_cfg, ex1, 5, 300, 2)]
+        return out
+
+    def test_results_are_bit_identical(self):
+        start = time.perf_counter()
+        text = "\n".join(repr(r) for r in self.results())
+        assert time.perf_counter() - start < 2.0
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256

@@ -304,6 +304,25 @@ class TestSimulateAndZeroRate:
                   + [a for p in params for a in ("--param", p)])
         return rc, out
 
+    def test_inactive_binning_warning(self, tmp_path, capsys):
+        # at 5 nats the n=6 codebook is not binned: the message names the codeword
+        rc, out = self.simulate_likelihood(tmp_path, "unbinned.csv", "rate_nats=5")
+        assert rc == 0
+        pair = instances.example1_pair(0.2, 0.0)
+        cfg = schemes.SchemeConfig(scheme="likelihood", delta=0.3, rate_nats=5.0)
+        cb = schemes.likelihood_setup(cfg, pair, 6, 3).codebook
+        assert cb.identity_binning
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"warning": "inactive_binning", "n": 6, "codewords": cb.size, "rate_nats": 5.0}]
+        header, rows = read_rows(out)
+        stats = dict(zip(header, rows[0]))
+        want = schemes.run_trials(cfg, pair, 6, 300, 3)
+        assert (int(stats["type1_errors"]), int(stats["type2_errors"])) == \
+            (want.type1_errors, want.type2_errors)
+        # at the default rate of 1 nat the codebook is binned, and nothing is printed
+        rc, _ = self.simulate_likelihood(tmp_path, "binned.csv")
+        assert rc == 0 and capsys.readouterr().err == ""
+
     def test_identity_w_channel_is_the_default(self, tmp_path):
         rc, default = self.simulate_likelihood(tmp_path, "default.csv")
         assert rc == 0

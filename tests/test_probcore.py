@@ -15,6 +15,7 @@ from htpriv.probcore import (
     SupportMismatchError,
     binary_entropy,
     choice_cdf,
+    choice_draws,
     conditional_entropy,
     conditional_mutual_information,
     all_sequences,
@@ -191,6 +192,26 @@ class TestChoiceCdf:
             got = choice_cdf(p).searchsorted(np.random.default_rng(seed).random((40, 7)),
                                              side="right")
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [
+        np.arange(1, 17) / 136,                              # 16 letters
+        [0.2, 0.0, 0.0, 0.3, 0.5],                           # repeated edges inside
+        [0.25, 0.0, 0.75, 0.0, 0.0],                         # and at the end
+        [0.0, 0.0, 1.0, 0.0],
+    ], ids=["sixteen", "zeros_inside", "zeros_at_end", "point_mass"])
+    def test_comparison_draws_equal_choice(self, p):
+        p = np.asarray(p, dtype=float)
+        for seed in (1, 2, 3):
+            want = np.random.default_rng(seed).choice(p.size, size=(300, 9), p=p)
+            got = choice_draws(choice_cdf(p), np.random.default_rng(seed).random((300, 9)))
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.min_scalar_type(p.size)
+        # uniforms on the edges themselves count the edge, as searchsorted does
+        cdf = choice_cdf(p)
+        edges = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0.0)])
+        edges = edges[edges < 1.0]
+        np.testing.assert_array_equal(choice_draws(cdf, edges),
+                                      cdf.searchsorted(edges, side="right"))
 
     @pytest.mark.parametrize("p", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [np.inf, 0.0],
                                    [0.5, 0.49], [[0.5, 0.5]], []],

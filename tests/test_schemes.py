@@ -519,6 +519,37 @@ class TestStreamedDraws:
             assert run_trials(config, pair, n, trials, seed) == \
                 one_shot_trials(config, pair, n, trials, seed)
 
+    @staticmethod
+    def suv_pair(p_uv, q_uv) -> HypothesisPair:
+        """A pair whose (U, V) laws are the given ones, with S a noisy copy of U."""
+        nu, nv = np.shape(p_uv)
+        s0 = np.linspace(0.2, 0.8, nu)
+        s_given_u = np.stack([s0, 1.0 - s0], axis=1)
+
+        def joint(uv):
+            probs = np.einsum("us,uv->suv", s_given_u, np.asarray(uv, dtype=float))
+            return JointPmf((("S", 2), ("U", nu), ("V", nv)), probs)
+
+        return HypothesisPair(joint(p_uv), joint(q_uv))
+
+    @pytest.mark.parametrize("laws", [
+        # |U| = 2, |V| = 8: 16 letters, and a swap of |U| and |V| would show
+        (np.arange(1, 17).reshape(2, 8) / 136, np.arange(16, 0, -1).reshape(2, 8) / 136),
+        # zero-probability letters inside the cdf and at its end
+        ([[0.2, 0.0, 0.3], [0.0, 0.5, 0.0]], [[0.1, 0.0, 0.2], [0.0, 0.7, 0.0]]),
+    ], ids=["sixteen_letters", "zero_letters"])
+    @pytest.mark.parametrize("config", [SchemeConfig(scheme="zero_rate", delta=0.2),
+                                        SchemeConfig(scheme="timeshare", delta=0.25,
+                                                     epsilon_star=0.25)],
+                             ids=["zero_rate", "timeshare"])
+    def test_draws_equal_choice(self, monkeypatch, laws, config):
+        pair = self.suv_pair(*laws)
+        monkeypatch.setattr(schemes, "CHUNK_CELLS", 2 ** 10)
+        for seed in (1, 7):
+            got = run_trials(config, pair, 5, 3000, seed)
+            assert got == one_shot_trials(config, pair, 5, 3000, seed)
+            assert 0 < got.type1_errors < got.trials
+
     @pytest.mark.parametrize("scheme, pair, config", [
         ("zero_rate", instances.zero_rate_binary_pair(),
          SchemeConfig(scheme="zero_rate", delta=0.15)),
