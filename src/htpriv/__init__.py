@@ -22,7 +22,6 @@ from .regions import (
     FrontierConfig,
     HypothesisPair,
     TradeoffPoint,
-    bayes_estimator,
     example1_closed_form,
     exponent_e1,
     exponent_e2,

@@ -7,9 +7,10 @@ by contracting the law with the per-letter law one u-letter at a time, last
 letter first, with the (s_i, v_i) pairs kept interleaved until the last
 three sums, which write the table in its s-block, v-block order: block
 equivocation H(S^n | M, V^n), Bayes-optimal causal-disclosure distortion
-(whose Bayes actions, chosen one action at a time, the Monte Carlo estimate
-looks up) and, with the (U, V) letter law, a scheme's exact error
-probabilities under its acceptance test.
+(one ``probcore.bayes_decision`` per letter, whose Bayes actions the Monte
+Carlo estimate looks up) and, with the (U, V) letter law, a scheme's exact
+error probabilities under its acceptance test.  At n = 1 the audits equal
+the single-letter privacy levels of ``regions``.
 Every audit, the error probabilities included, streams the table one chunk
 of message columns at a time (at most ``schemes.CHUNK_CELLS`` cells per
 step), after checking that the whole table fits the one budget
@@ -27,6 +28,7 @@ from .probcore import (
     Channel,
     Pmf,
     all_sequences,
+    bayes_decision,
     block_index,
     choice_cdf,
     choice_draws,
@@ -44,7 +46,6 @@ from .schemes import (
     likelihood_law,
     make_scheme,
     timeshare_law,
-    zero_rate_law,
 )
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "AssumptionViolatedError",
     "all_sequences",
     "law_model",
-    "zero_rate_model",
     "quantize_timeshare_model",
     "likelihood_model",
     "constant_model",
@@ -66,6 +66,7 @@ __all__ = [
     "exact_equivocation",
     "exact_causal_distortion",
     "mc_privacy_estimate",
+    "counterexample_levels",
     "counterexample_curve",
 ]
 
@@ -164,11 +165,6 @@ def _law_table(law: MessageLaw) -> tuple[SchemeModel, np.ndarray]:
 def law_model(law: MessageLaw) -> SchemeModel:
     """Dense message law of a scheme over every u-block."""
     return _law_table(law)[0]
-
-
-def zero_rate_model(p_u: Pmf, n: int, delta: float) -> SchemeModel:
-    """M = 1(u typical): messages (error, typical)."""
-    return law_model(zero_rate_law(p_u, n, delta))
 
 
 def quantize_timeshare_model(p_u: Pmf, n: int, delta: float,
@@ -300,28 +296,19 @@ def _block_tables(law: np.ndarray, letter: np.ndarray, n: int):
 def _causal_bayes(table: np.ndarray, distortion: np.ndarray, n: int):
     """For each letter i = 1..n, yield (i, action, cost): the Bayes action on
     S_i given (m, s^{i-1}, v-block), shape (|M|, |S|^(i-1), |V|^n), and its
-    expected distortion summed over those cells.  A message's actions depend
-    on its own cells only, so the costs of chunks of messages add up.
-
-    The actions are tried one at a time: each one's expected distortion is
-    one contraction of the letter's joint with its distortion column, and a
-    cell's action changes only where a later action costs strictly less, so
-    it is the first minimizer, as ``argmin`` gives it."""
+    expected distortion summed over those cells, from one
+    ``probcore.bayes_decision`` on the letter's joint.  A message's actions
+    depend on its own cells only, so the costs of chunks of messages add up."""
     nm, nsn, nvn = table.shape
-    ns, na = distortion.shape
+    ns = distortion.shape[0]
     for i in range(1, n + 1):
         # the s-block index is first letter most significant, so the prefix
         # s^{1..i} is its leading digits; at i = n no later letter is summed
         joint = table.reshape(nm, ns ** (i - 1), ns, nsn // ns ** i, nvn)
         joint = joint[:, :, :, 0] if i == n else joint.sum(axis=3)
-        best = np.einsum("mpsv,s->mpv", joint, distortion[:, 0])
-        action = np.zeros(best.shape, dtype=np.intp)
-        for a in range(1, na):
-            cost = np.einsum("mpsv,s->mpv", joint, distortion[:, a])
-            np.copyto(action, a, where=cost < best)
-            np.minimum(best, cost, out=best)
+        action, cost = bayes_decision(joint, distortion, 2)
         del joint       # the caller's lookups and the next letter run without it
-        yield i, action, float(best.sum())
+        yield i, action, cost
 
 
 def exact_equivocation(model: SchemeModel, pair: HypothesisPair, n: int,
@@ -470,20 +457,27 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
 # strong-converse counterexample
 # ---------------------------------------------------------------------------
 
+def counterexample_levels(pair: HypothesisPair) -> tuple[float, float, bool]:
+    """The weak-converse level H_P(S|U,V) and the no-message level H_P(S|V),
+    in nats, and whether the counterexample's assumption H_P(S|U,V) <
+    H_P(S|V) holds: the message must actually reveal something about the
+    private letters for time sharing to buy equivocation."""
+    h_suv = conditional_entropy(pair.p, "S", ("U",) + pair.v_axes)
+    h_sv = conditional_entropy(pair.p, "S", pair.v_axes)
+    return h_suv, h_sv, h_suv < h_sv - 1e-12
+
+
 def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
                          n_list, delta: float) -> list[CounterexamplePoint]:
     """Exact evaluation of the time-shared quantization scheme at typicality
     slack ``delta``.
 
-    Requires an instance with H_P(S|U,V) < H_P(S|V): the message must actually
-    reveal something about the private letters for time sharing to buy
-    equivocation.  For each n, reports the exact type I error and the exact
-    per-letter equivocation under the null.
+    Requires an instance that meets ``counterexample_levels``'s assumption.
+    For each n, reports the exact type I error and the exact per-letter
+    equivocation under the null.
     """
-    v_axes = pair.v_axes
-    h_suv = conditional_entropy(pair.p, "S", ("U",) + v_axes)
-    h_sv = conditional_entropy(pair.p, "S", v_axes)
-    if h_suv >= h_sv - 1e-12:
+    h_suv, h_sv, holds = counterexample_levels(pair)
+    if not holds:
         raise AssumptionViolatedError(
             f"need H_P(S|U,V) < H_P(S|V); got {h_suv} >= {h_sv} - 1e-12"
         )

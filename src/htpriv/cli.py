@@ -90,6 +90,12 @@ PARAM_KEYS = {
     "counterexample": {"epsilon_star": float, "n_list": _list(_positive(int)), "delta": float},
 }
 EXPERIMENTS = tuple(PARAM_KEYS)
+# the SchemeConfig keys each simulated scheme reads; any other is an error
+SCHEME_KEYS = {
+    "likelihood": {"scheme", "delta", "eta", "rate_nats", "w_channel"},
+    "zero_rate": {"scheme", "delta"},
+    "timeshare": {"scheme", "delta", "epsilon_star"},
+}
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -227,11 +233,13 @@ def _run_simulate(pair, params, seed):
     privacy, mc_trials = params.pop("privacy", "none"), params.pop("privacy_trials", 2000)
     cfg = schemes.SchemeConfig(**{"scheme": "zero_rate", **params})
     scheme = cfg.scheme
-    if cfg.w_channel is not None and (scheme, cfg.w_channel.input_size) != (
-            "likelihood", pair.u_size()):
-        raise ExperimentError(f"w_channel needs the likelihood scheme and {pair.u_size()} rows, "
-                              f"one per letter of U; got {scheme!r} and "
-                              f"{cfg.w_channel.input_size} rows")
+    extra = sorted(params.keys() - SCHEME_KEYS[scheme])
+    if extra:
+        raise ExperimentError(f"scheme {scheme!r} takes no parameter {extra[0]!r}; "
+                              f"it accepts {sorted(SCHEME_KEYS[scheme])}")
+    if cfg.w_channel is not None and cfg.w_channel.input_size != pair.u_size():
+        raise ExperimentError(f"w_channel needs {pair.u_size()} rows, one per letter of U; "
+                              f"got {cfg.w_channel.input_size} rows")
     # the likelihood encoder tests u-typicality at delta' = delta/2
     _warn_empty_typical_set(pair, n, cfg.delta_prime if scheme == "likelihood" else cfg.delta)
     if scheme == "likelihood":
@@ -331,12 +339,10 @@ def validate_instance(path: str) -> dict:
         pair = instances.pair_from_record(rec)
         diags["u_marginals_equal"] = pmf_close(pair.p.marginal_pmf("U"),
                                                pair.q.marginal_pmf("U"))
-        v_axes = pair.v_axes
-        h_suv = conditional_entropy(pair.p, "S", ("U",) + v_axes)
-        h_sv = conditional_entropy(pair.p, "S", v_axes)
+        h_suv, h_sv, holds = adversary.counterexample_levels(pair)
         diags["h_p_s_given_uv_bits"] = h_suv / LN2
         diags["h_p_s_given_v_bits"] = h_sv / LN2
-        diags["counterexample_assumption"] = bool(h_suv < h_sv - 1e-12)
+        diags["counterexample_assumption"] = holds
     return diags
 
 

@@ -46,11 +46,11 @@ __all__ = [
     "all_sequences",
     "entropy_of_array",
     "kl_of_arrays",
+    "bayes_decision",
     "marginal_of_array",
     "cond_entropy_of_array",
     "pmf_close",
     "nats_to_bits",
-    "bits_to_nats",
 ]
 
 MASS_TOL = 1e-12        # total-mass tolerance for valid distributions
@@ -70,10 +70,6 @@ class UnknownAxisError(ValueError):
 
 def nats_to_bits(x: float) -> float:
     return x / LN2 if math.isfinite(x) else x
-
-
-def bits_to_nats(x: float) -> float:
-    return x * LN2 if math.isfinite(x) else x
 
 
 def _as_prob_array(probs, shape=None) -> np.ndarray:
@@ -256,6 +252,29 @@ def kl_of_arrays(p: np.ndarray, q: np.ndarray) -> float:
         return math.inf
     pm = p[mask]
     return float(np.dot(pm, np.log(pm) - np.log(q[mask])))
+
+
+def bayes_decision(joint: np.ndarray, distortion: np.ndarray,
+                   axis: int) -> tuple[np.ndarray, float]:
+    """Bayes action on the letter at position ``axis`` of the mass tensor
+    ``joint``, in each cell of its other axes, and the expected distortion of
+    those actions summed over the cells: ``(action, cost)``.
+
+    ``distortion[s, a]`` is the cost of action ``a`` when that letter is
+    ``s``.  The actions are tried one at a time: each one's expected
+    distortion is one contraction of ``joint``, never copied, with its
+    distortion column, and a cell's action changes only where a later action
+    costs strictly less, so it is the first minimizer, as ``argmin`` gives it.
+    """
+    axes = "abcdefghijklmnopqrstuvwxyz"[:joint.ndim]
+    spec = f"{axes},{axes[axis]}->{axes.replace(axes[axis], '')}"
+    best = np.asarray(np.einsum(spec, joint, distortion[:, 0]))   # 0-d for one posterior
+    action = np.zeros(best.shape, dtype=np.intp)
+    for a in range(1, distortion.shape[1]):
+        cost = np.einsum(spec, joint, distortion[:, a])
+        np.copyto(action, a, where=cost < best)
+        np.minimum(best, cost, out=best)
+    return action, float(best.sum())
 
 
 def entropy(p) -> float:

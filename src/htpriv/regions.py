@@ -21,6 +21,7 @@ from .probcore import (
     Channel,
     JointPmf,
     Pmf,
+    bayes_decision,
     binary_entropy,
     conditional_entropy,
     cond_entropy_of_array,
@@ -55,7 +56,6 @@ __all__ = [
     "zero_rate_exponent",
     "zero_rate_exponent_solution",
     "zero_rate_privacy",
-    "bayes_estimator",
     "attach_channel",
 ]
 
@@ -504,30 +504,16 @@ def kappa_star(rate: float, pair: HypothesisPair, w_channel: Channel) -> float:
 # achievable points (general inner bound)
 # ---------------------------------------------------------------------------
 
-def _min_expected_distortion(joint: JointPmf, cond_axes, pair: HypothesisPair) -> float:
-    """min over deterministic estimators of E d(S, phi(cond_axes)); the inner
-    argmin for each conditioning cell is the Bayes estimator."""
+def _privacy_level(joint: JointPmf, cond_axes: tuple[str, ...], pair: HypothesisPair,
+                   kind: str) -> float:
+    """Single-letter privacy of S given ``cond_axes`` of ``joint``: the
+    equivocation H(S | cond_axes), or the Bayes distortion min over
+    deterministic estimators of E d(S, phi(cond_axes))."""
+    if kind == "equivocation":
+        return conditional_entropy(joint, "S", cond_axes)
     if pair.distortion is None:
         raise ValueError("HypothesisPair has no distortion table")
-    if isinstance(cond_axes, str):
-        cond_axes = (cond_axes,)
-    m = joint.marginal_array(("S",) + tuple(cond_axes))
-    flat = m.reshape(m.shape[0], -1)          # (|S|, cells)
-    costs = pair.distortion.T @ flat          # (|S_hat|, cells)
-    return float(costs.min(axis=0).sum())
-
-
-def _privacy1_split(pair: HypothesisPair, q_joint: JointPmf, v_axes, kind: str) -> float:
-    """Alternate-hypothesis privacy: the (W,V)-aware level when the U-marginals
-    of the two hypotheses coincide, the V-only level otherwise."""
-    same_u = pmf_close(pair.p.marginal_pmf("U"), pair.q.marginal_pmf("U"))
-    if kind == "equivocation":
-        if same_u:
-            return conditional_entropy(q_joint, "S", ("W",) + tuple(v_axes))
-        return conditional_entropy(q_joint, "S", tuple(v_axes))
-    if same_u:
-        return _min_expected_distortion(q_joint, ("W",) + tuple(v_axes), pair)
-    return _min_expected_distortion(q_joint, tuple(v_axes), pair)
+    return bayes_decision(joint.marginal_array(("S",) + cond_axes), pair.distortion, 0)[1]
 
 
 def _theorem_point(pair: HypothesisPair, w_channel: Channel, rate: float,
@@ -538,11 +524,10 @@ def _theorem_point(pair: HypothesisPair, w_channel: Channel, rate: float,
     needed = conditional_mutual_information(p_joint, "W", "U", v_axes)
     feasible = rate >= needed - 1e-12
     exponent = kappa_star(rate, pair, w_channel)
-    if kind == "equivocation":
-        privacy0 = conditional_entropy(p_joint, "S", ("W",) + v_axes)
-    else:
-        privacy0 = _min_expected_distortion(p_joint, ("W",) + v_axes, pair)
-    privacy1 = _privacy1_split(pair, q_joint, v_axes, kind)
+    privacy0 = _privacy_level(p_joint, ("W",) + v_axes, pair, kind)
+    # the alternate hypothesis sees W only when the U-marginals coincide
+    same_u = pmf_close(pair.p.marginal_pmf("U"), pair.q.marginal_pmf("U"))
+    privacy1 = _privacy_level(q_joint, ("W",) + v_axes if same_u else v_axes, pair, kind)
     return TradeoffPoint(rate, exponent, privacy0, privacy1, kind,
                          feasible=feasible, channel=w_channel)
 
@@ -803,29 +788,10 @@ def zero_rate_exponent(p_u: Pmf, p_v: Pmf, q_uv: JointPmf) -> float:
 def zero_rate_privacy(pair: HypothesisPair) -> ZeroRatePrivacy:
     """Maximal zero-rate privacy levels: per-letter Bayes distortions given V
     alone and the conditional equivocations H(S|V) under each hypothesis."""
-    v_axes = pair.v_axes
-    deltas = [None, None]
-    if pair.distortion is not None:
-        deltas = [
-            _min_expected_distortion(pair.law(h), v_axes, pair) for h in (0, 1)
-        ]
-    return ZeroRatePrivacy(
-        delta0_max=deltas[0],
-        delta1_max=deltas[1],
-        lambda0_max=conditional_entropy(pair.p, "S", v_axes),
-        lambda1_max=conditional_entropy(pair.q, "S", v_axes),
-    )
+    def levels(kind):
+        return [_privacy_level(pair.law(h), pair.v_axes, pair, kind) for h in (0, 1)]
 
-
-def bayes_estimator(posterior, distortion) -> tuple[int, float]:
-    """argmin over reconstructions of the posterior-expected distortion.
-
-    Ties break toward the smallest index (np.argmin's convention).
-    """
-    post = posterior.probs if isinstance(posterior, Pmf) else np.asarray(posterior, float)
-    d = np.asarray(distortion, dtype=float)
-    if d.ndim != 2 or d.shape[0] != post.size:
-        raise ValueError(f"distortion table {d.shape} does not cover posterior of size {post.size}")
-    costs = post @ d
-    idx = int(np.argmin(costs))
-    return idx, float(costs[idx])
+    deltas = levels("distortion") if pair.distortion is not None else [None, None]
+    lambdas = levels("equivocation")
+    return ZeroRatePrivacy(delta0_max=deltas[0], delta1_max=deltas[1],
+                           lambda0_max=lambdas[0], lambda1_max=lambdas[1])

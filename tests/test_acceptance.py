@@ -14,9 +14,9 @@ from htpriv.adversary import (
     counterexample_curve,
     exact_causal_distortion,
     exact_equivocation,
+    law_model,
     message_map_model,
     quantize_timeshare_model,
-    zero_rate_model,
 )
 from htpriv.oracle import exact_error_probabilities, exhaustive_causal_estimators, grid_min_kl
 from htpriv.probcore import (
@@ -42,7 +42,7 @@ from htpriv.regions import (
     taci_point,
     zero_rate_exponent,
 )
-from htpriv.schemes import SchemeConfig, run_trials
+from htpriv.schemes import SchemeConfig, run_trials, zero_rate_law
 
 from conftest import MASTER_SEED, random_channel, random_suv_joint
 
@@ -173,7 +173,7 @@ def test_acceptance_4_finite_n_consistency():
     prev_rate = -math.inf
     details = []
     for n in (2, 4, 6):
-        model = zero_rate_model(p_u, n, delta)
+        model = law_model(zero_rate_law(p_u, n, delta))
 
         def accepts(label, vblock, n=n):
             if label != "typical":
@@ -315,7 +315,8 @@ def test_acceptance_8_causal_distortion_oracle():
     for _ in range(5):
         pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng),
                               distortion=instances.hamming(2))
-        model = zero_rate_model(pair.p.marginal_pmf("U"), 2, delta=float(rng.uniform(0.1, 0.4)))
+        delta = float(rng.uniform(0.1, 0.4))
+        model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), 2, delta))
         fast = exact_causal_distortion(model, pair, 2, 0)
         brute = exhaustive_causal_estimators(model, pair, 2)
         gap = abs(fast - brute)

@@ -30,16 +30,18 @@ from htpriv.adversary import (
     exact_errors,
     exact_equivocation,
     full_disclosure_model,
+    law_model,
     likelihood_model,
     mc_privacy_estimate,
     message_map_model,
     quantize_timeshare_model,
     scheme_model_for,
-    zero_rate_model,
 )
-from htpriv.probcore import Channel, JointPmf, Pmf, block_index, conditional_entropy, inverse_cdf
-from htpriv.regions import HypothesisPair, bayes_estimator
-from htpriv.schemes import SchemeConfig, build_codebook, make_scheme
+from htpriv.probcore import (
+    Channel, JointPmf, Pmf, block_index, conditional_entropy, inverse_cdf, pmf_close,
+)
+from htpriv.regions import HypothesisPair, theorem1_point, theorem2_point, zero_rate_privacy
+from htpriv.schemes import SchemeConfig, build_codebook, make_scheme, zero_rate_law
 
 from conftest import MASTER_SEED, random_joint, random_suv_joint
 
@@ -118,6 +120,35 @@ class TestCausalBayesKernel:
             assert not action.any()
 
 
+class TestSingleLetterEqualsBlockAudit:
+    """Each single-letter privacy level is the block audit at n = 1: the
+    theorem points' message is W drawn from P(W|U) (or no message, for the
+    alternate hypothesis when the U-marginals differ), the zero-rate levels
+    have no message at all."""
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(ROOT, "instances"))))
+    @pytest.mark.parametrize("w_size", [2, 3])
+    def test_n1_audit_matches_single_letter(self, name, w_size):
+        pair = instances.load_instance(os.path.join(ROOT, "instances", name))
+        nu = pair.u_size()
+        rng = np.random.default_rng(MASTER_SEED + 70 + w_size)
+        w = Channel(rng.dirichlet(np.ones(w_size), size=nu))
+        w_model = SchemeModel(1, nu, w.rows, tuple(range(w_size)))
+        silent = constant_model(nu, 1)
+        same_u = pmf_close(pair.p.marginal_pmf("U"), pair.q.marginal_pmf("U"))
+        audits = (exact_equivocation, exact_causal_distortion)
+        for point_of, audit in zip((theorem1_point, theorem2_point), audits):
+            point = point_of(pair, w, 1.0)
+            assert point.privacy0 == pytest.approx(audit(w_model, pair, 1, 0), abs=1e-12)
+            block1 = audit(w_model if same_u else silent, pair, 1, 1)
+            assert point.privacy1 == pytest.approx(block1, abs=1e-12)
+        zr = zero_rate_privacy(pair)
+        for h, (lam, dist) in enumerate([(zr.lambda0_max, zr.delta0_max),
+                                         (zr.lambda1_max, zr.delta1_max)]):
+            assert lam == pytest.approx(exact_equivocation(silent, pair, 1, h), abs=1e-12)
+            assert dist == pytest.approx(exact_causal_distortion(silent, pair, 1, h), abs=1e-12)
+
+
 class TestExactEquivocation:
     def test_constant_message_gives_conditional_entropy(self):
         rng = np.random.default_rng(MASTER_SEED + 50)
@@ -159,7 +190,7 @@ class TestExactEquivocation:
         for _ in range(10):
             pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng))
             n = int(rng.integers(1, 4))
-            model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.2)
+            model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), n, delta=0.2))
             eq = exact_equivocation(model, pair, n, 0)
             cap = n * conditional_entropy(pair.p, "S", "V")
             assert eq <= cap + 1e-10
@@ -203,13 +234,12 @@ class TestExactCausalDistortion:
         assert got == pytest.approx(2 * single, abs=1e-10)
 
     def test_bounded_by_v_only_estimate(self):
-        from htpriv.regions import zero_rate_privacy
         rng = np.random.default_rng(MASTER_SEED + 55)
         for _ in range(5):
             pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng),
                                   distortion=instances.hamming(2))
             n = 2
-            model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.3)
+            model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), n, delta=0.3))
             got = exact_causal_distortion(model, pair, n, 0)
             cap = zero_rate_privacy(pair).delta0_max
             assert got <= n * cap + 1e-10
@@ -261,7 +291,7 @@ def loop_mc_report(model, pair, n, hypothesis, trials, seed) -> PrivacyReport:
         cur = s_idx // ns ** (n - i) % ns
         for k in range(trials):
             posterior = cond[msgs[k], prefix[k], :, v_idx[k]]
-            shat, _ = bayes_estimator(posterior / posterior.sum(), d)
+            shat = np.argmin(posterior @ d)
             dist[k] += d[cur[k], shat]
     se = lambda x: float(x.std(ddof=1) / math.sqrt(trials)) / n
     return PrivacyReport(n=n, hypothesis=hypothesis,
@@ -299,7 +329,7 @@ class TestMcEstimate:
         pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng),
                               distortion=instances.hamming(2))
         n = 2
-        model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.3)
+        model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), n, delta=0.3))
         exact = exact_equivocation(model, pair, n, 0) / n
         rep = mc_privacy_estimate(model, pair, n, 0, trials=4000, seed=8)
         assert not rep.biased
@@ -361,7 +391,7 @@ class TestZeroRateEquivocationGap:
             h_sv = conditional_entropy(pair.p, "S", "V")
             gaps = []
             for n in (2, 4, 6):
-                model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.15)
+                model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), n, delta=0.15))
                 eq = exact_equivocation(model, pair, n, 0) / n
                 gaps.append(abs(h_sv - eq))
             assert gaps[0] >= gaps[1] - 1e-12
@@ -475,7 +505,7 @@ class TestSchemeModelFor:
         # other is not (the shipped instances make every letter atypical)
         from htpriv.oracle import exact_error_probabilities
         from htpriv.schemes import SchemeConfig, make_scheme
-        from htpriv.adversary import exact_errors, law_model
+        from htpriv.adversary import exact_errors
         rng = np.random.default_rng(MASTER_SEED + 61)
         pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng))
         cfg = SchemeConfig(**kwargs)
@@ -538,7 +568,7 @@ class TestMcBiasedBranch:
         rng = np.random.default_rng(MASTER_SEED + 71)
         pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng))
         n = 2
-        model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.3)
+        model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), n, delta=0.3))
         with monkeypatch.context() as mp:
             mp.setattr(adversary, "MAX_JOINT_CELLS", 4)
             rep = mc_privacy_estimate(model, pair, n, 0, trials=400, seed=3)
@@ -553,7 +583,7 @@ class TestMcBiasedBranch:
         # S pins U here, so a u-block drawn without regard to s^n almost
         # never matches it; the numerator draws come from P(u_i | s_i, v_i)
         pair = instances.zero_rate_binary_pair()
-        model = zero_rate_model(pair.p.marginal_pmf("U"), n, delta=0.15)
+        model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), n, delta=0.15))
         with monkeypatch.context() as mp:
             mp.setattr(adversary, "MAX_JOINT_CELLS", 4)
             rep = mc_privacy_estimate(model, pair, n, 0, trials=200, seed=1)
@@ -564,7 +594,7 @@ class TestMcBiasedBranch:
     def test_independent_of_chunk_size(self, monkeypatch):
         # at 2^12 cells a chunk holds one sample, at 2^20 it holds 128
         pair = instances.zero_rate_binary_pair()
-        model = zero_rate_model(pair.p.marginal_pmf("U"), 8, delta=0.15)
+        model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), 8, delta=0.15))
         monkeypatch.setattr(adversary, "MAX_JOINT_CELLS", 4)
         reports = []
         for cells in (2 ** 12, 2 ** 20):
@@ -587,7 +617,7 @@ class TestMcBiasedBranch:
 
 class TestModelBuilders:
     def test_zero_rate_model_rows(self):
-        model = zero_rate_model(Pmf([0.5, 0.5]), 2, delta=0.0)
+        model = law_model(zero_rate_law(Pmf([0.5, 0.5]), 2, delta=0.0))
         # typical at delta 0: exactly the balanced sequences 01, 10
         law = model.law
         assert law[0b01, 1] == 1.0 and law[0b10, 1] == 1.0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from htpriv import instances, schemes
-from htpriv.cli import PARAM_KEYS, main, validate_instance
+from htpriv.cli import PARAM_KEYS, SCHEME_KEYS, main, validate_instance
 from htpriv.probcore import Channel, JointPmf, binary_entropy
 from htpriv.regions import FrontierConfig, HypothesisPair
 
@@ -360,6 +360,40 @@ class TestSimulateAndZeroRate:
         assert not out.exists()
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["error"] == "ExperimentError" and "w_channel" in rec["message"]
+
+    @pytest.mark.parametrize("scheme, params", [
+        ("zero_rate", ["epsilon_star=0.7", "eta=-3", "rate_nats=-1"]),
+        ("zero_rate", ["w_channel=1,0;0,1"]),
+        ("likelihood", ["epsilon_star=0.7"]),
+        ("timeshare", ["epsilon_star=0.25", "eta=0.1"]),
+        ("timeshare", ["rate_nats=1"]),
+        ("timeshare", ["w_channel=1,0;0,1"]),
+    ], ids=["zero_rate", "zero_rate_w_channel", "likelihood", "timeshare_eta",
+            "timeshare_rate_nats", "timeshare_w_channel"])
+    def test_key_of_another_scheme_fails(self, tmp_path, capsys, scheme, params):
+        out = tmp_path / "sim.csv"
+        rc = main(["run", "--experiment", "simulate", "--instance",
+                   str(ROOT / "instances" / "zero_rate_binary.json"), "--out", str(out),
+                   "--param", f"scheme={scheme}", "--param", "trials=100"]
+                  + [a for p in params for a in ("--param", p)])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        foreign = sorted(p.split("=")[0] for p in params if p.split("=")[0]
+                         not in SCHEME_KEYS[scheme])
+        assert rec["error"] == "ExperimentError"
+        assert repr(foreign[0]) in rec["message"] and repr(scheme) in rec["message"]
+
+    def test_scheme_keys_cover_the_config(self):
+        # every scheme reads the scheme name and delta, and each other config
+        # field belongs to exactly one scheme
+        fields = {f.name for f in dataclasses.fields(schemes.SchemeConfig)}
+        assert set(SCHEME_KEYS) == {"likelihood", "zero_rate", "timeshare"}
+        common = {"scheme", "delta"}
+        assert all(keys >= common for keys in SCHEME_KEYS.values())
+        own = [keys - common for keys in SCHEME_KEYS.values()]
+        assert sum(len(k) for k in own) == len(set().union(*own))
+        assert set().union(*SCHEME_KEYS.values()) == fields
 
 
 class TestCounterexampleExperiment:

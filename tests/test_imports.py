@@ -1,13 +1,19 @@
-"""Import cost: the package and its CLI load without scipy.
+"""Imports: the package and its CLI load without scipy, and every name the
+package exports resolves.
 
 Importing ``scipy.optimize`` takes longer than the whole set-up of a
 benchmark run, so only ``htpriv.oracle`` may import scipy.
 """
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import htpriv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -20,3 +26,17 @@ def test_package_and_cli_import_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must leave no stale entry in any __all__ or in the
+    # package namespace
+    for info in pkgutil.iter_modules(htpriv.__path__):
+        module = importlib.import_module(f"htpriv.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"htpriv.{info.name}.__all__ names missing {name!r}"
+    for name, obj in vars(htpriv).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        home = importlib.import_module(obj.__module__)
+        assert getattr(home, name) is obj and name in home.__all__, name

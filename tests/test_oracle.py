@@ -11,7 +11,7 @@ from htpriv.adversary import (
     constant_model,
     exact_causal_distortion,
     full_disclosure_model,
-    zero_rate_model,
+    law_model,
 )
 from htpriv.oracle import (
     OracleBudget,
@@ -22,6 +22,7 @@ from htpriv.oracle import (
 )
 from htpriv.probcore import JointPmf, Pmf
 from htpriv.regions import HypothesisPair
+from htpriv.schemes import zero_rate_law
 
 from conftest import MASTER_SEED, random_joint, random_suv_joint
 
@@ -49,7 +50,7 @@ class TestExactErrorProbabilities:
         n, delta = 4, 0.2
         p_u = pair.p.marginal_pmf("U")
         p_v = Pmf(pair.p.marginal(("U", "V")).probs.sum(axis=0))
-        model = zero_rate_model(p_u, n, delta)
+        model = law_model(zero_rate_law(p_u, n, delta))
 
         def typical(seq, probs):
             freq = np.bincount(np.asarray(seq), minlength=2) / len(seq)
@@ -142,7 +143,7 @@ class TestExhaustiveCausalEstimators:
         for _ in range(3):
             pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng),
                                   distortion=instances.hamming(2))
-            model = zero_rate_model(pair.p.marginal_pmf("U"), 2, delta=0.3)
+            model = law_model(zero_rate_law(pair.p.marginal_pmf("U"), 2, delta=0.3))
             brute = exhaustive_causal_estimators(model, pair, 2)
             fast = exact_causal_distortion(model, pair, 2, 0)
             assert brute == pytest.approx(fast, abs=1e-12)

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from htpriv.instances import load_instance, save_instance
+from htpriv.instances import hamming, load_instance, save_instance
 from htpriv.probcore import (
     Channel,
     JointPmf,
     Pmf,
     SequenceSample,
     SupportMismatchError,
+    bayes_decision,
     binary_entropy,
     choice_cdf,
     choice_draws,
@@ -90,6 +91,36 @@ class TestConditionalQuantities:
         j = JointPmf((("X", 2), ("Y", 2)), np.full((2, 2), 0.25))
         with pytest.raises(ValueError):
             conditional_entropy(j, "Q", "Y")
+
+
+class TestBayesDecision:
+    def test_hamming_majority(self):
+        action, cost = bayes_decision(np.array([0.9, 0.1]), hamming(2), 0)
+        assert (action, cost) == (0, pytest.approx(0.1))
+
+    def test_tie_breaks_to_smallest_index(self):
+        action, cost = bayes_decision(np.array([0.5, 0.5]), hamming(2), 0)
+        assert action == 0
+        assert cost == pytest.approx(0.5)
+
+    def test_asymmetric_matches_enumeration(self):
+        # the decided letter sits between two other axes, so every cell
+        # (i, k) is its own posterior
+        rng = np.random.default_rng(MASTER_SEED + 21)
+        table = rng.random((3, 3))
+        joint = rng.gamma(1, 1, (2, 3, 4))
+        joint /= joint.sum()
+        action, cost = bayes_decision(joint, table, 1)
+        assert action.shape == (2, 4)
+        total = 0.0
+        for i in range(2):
+            for k in range(4):
+                post = joint[i, :, k]
+                brute = [(sum(post[s] * table[s, a] for s in range(3)), a) for a in range(3)]
+                best_val, best_a = min(brute)
+                assert action[i, k] == best_a
+                total += best_val
+        assert cost == pytest.approx(total, abs=1e-12)
 
 
 class TestTotalVariation:

@@ -28,7 +28,6 @@ from htpriv.regions import (
     HypothesisPair,
     InfeasibleConstraintsError,
     attach_channel,
-    bayes_estimator,
     example1_closed_form,
     exponent_e1,
     exponent_e1_solution,
@@ -572,28 +571,6 @@ class TestZeroRate:
         start = time.perf_counter()
         assert zero_rate_exponent(p_u, p_v, q) == math.inf
         assert time.perf_counter() - start < 1.0
-
-
-class TestBayesEstimator:
-    def test_hamming_majority(self):
-        idx, val = bayes_estimator(Pmf([0.9, 0.1]), instances.hamming(2))
-        assert (idx, val) == (0, pytest.approx(0.1))
-
-    def test_tie_breaks_to_smallest_index(self):
-        idx, val = bayes_estimator(Pmf([0.5, 0.5]), instances.hamming(2))
-        assert idx == 0
-        assert val == pytest.approx(0.5)
-
-    def test_asymmetric_matches_enumeration(self):
-        rng = np.random.default_rng(MASTER_SEED + 21)
-        table = rng.random((3, 3))
-        post = rng.gamma(1, 1, 3)
-        post /= post.sum()
-        idx, val = bayes_estimator(Pmf(post), table)
-        brute = [(sum(post[s] * table[s, k] for s in range(3)), k) for k in range(3)]
-        best_val, best_k = min(brute)
-        assert idx == best_k
-        assert val == pytest.approx(best_val, abs=1e-12)
 
 
 class TestOptimizerCertificates:

@@ -439,7 +439,7 @@ class TestRunTrials:
         pair = instances.zero_rate_binary_pair()
         delta = 0.15
         n = 6
-        model = adversary.zero_rate_model(pair.p.marginal_pmf("U"), n, delta)
+        model = adversary.law_model(zero_rate_law(pair.p.marginal_pmf("U"), n, delta))
         p_v = Pmf(pair.p.marginal(("U", "V")).probs.sum(axis=0))
 
         def accepts(label, vblock):
