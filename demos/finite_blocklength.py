@@ -1,7 +1,8 @@
 """Walkthrough: simulating the coding schemes at finite blocklength.
 
-Builds a random codebook, traces one likelihood-encode / bin / decode /
-detect round trip through the likelihood ``Scheme``, then runs seeded Monte
+Builds the likelihood ``Scheme`` (its codebook is drawn for the (U, W) joint
+P_U P_{W|U} and carries it), traces one likelihood-encode / bin / decode /
+detect round trip through it, then runs seeded Monte
 Carlo trials of the zero-rate scheme and checks them against its exact error
 probabilities and the brute-force oracle.
 
@@ -15,13 +16,10 @@ import numpy as np
 from htpriv import instances
 from htpriv.adversary import exact_errors, scheme_model_for
 from htpriv.oracle import exact_error_probabilities
-from htpriv.probcore import Channel, Pmf, mutual_information
-from htpriv.regions import attach_channel, zero_rate_exponent
+from htpriv.probcore import Channel, Pmf
+from htpriv.regions import zero_rate_exponent
 from htpriv.schemes import (
-    LikelihoodSetup,
     SchemeConfig,
-    build_codebook,
-    likelihood_scheme,
     make_scheme,
     min_entropy_decode,
     run_trials,
@@ -33,26 +31,20 @@ from htpriv.schemes import (
 # ---------------------------------------------------------------------------
 pair = instances.example1_pair(0.2, 0.0)
 wch = Channel([[0.9, 0.1], [0.1, 0.9]])            # auxiliary channel from U
-p_u = pair.p.marginal_pmf("U")
-joint_uw = p_u.probs[:, None] * wch.rows
-p_w = Pmf(joint_uw.sum(axis=0))
-i_uw = mutual_information(attach_channel(pair.p.marginal(("U", "V")), wch), "U", "W")
 
-n, eta, rate = 10, 0.05, 1.0
-cb = build_codebook(p_w, n, eta, rate, seed=42, mutual_info_uw=i_uw, u_size=2)
-print(f"codebook: {cb.size} codewords of length {n}, "
+# delta = 0.3: encoder typicality delta' = 0.15, declared-type gate 0.3,
+# decoder delta_hat = |U| delta = 0.6, detector delta_tilde = 2 delta = 0.6
+n = 10
+scheme = make_scheme(SchemeConfig(scheme="likelihood", delta=0.3, eta=0.05, rate_nats=1.0,
+                                  w_channel=wch), pair, n, seed=42)
+cb = scheme.codebook
+print(f"codebook: {cb.size} codewords of length {n} for I(U;W) = {cb.mutual_info_uw:.4f} nats, "
       f"{'identity binning' if cb.identity_binning else f'{cb.num_bins} bins'}")
 
-rev = Channel((joint_uw / joint_uw.sum(axis=0)[None, :]).T)   # P(U | W)
 rng = np.random.default_rng(1)
 p_uv = pair.p.marginal(("U", "V")).probs
 flat = rng.choice(4, size=(1, n), p=p_uv.ravel())
 u, v = flat // 2, flat % 2
-
-# delta = 0.3: encoder typicality delta' = 0.15, declared-type gate 0.3,
-# decoder delta_hat = |U| delta = 0.6, detector delta_tilde = 2 delta = 0.6
-scheme = likelihood_scheme(LikelihoodSetup(cb, rev, joint_uw, wch.rows.T @ p_uv),
-                           SchemeConfig(scheme="likelihood", delta=0.3))
 code = sample_codes(scheme.law, u, np.random.default_rng(7).random(1))
 label = scheme.law.label(code[0])
 print(f"message: {label}")

@@ -1,7 +1,8 @@
 """Exact evaluation of coding schemes at finite blocklength.
 
-A :class:`htpriv.schemes.Scheme` is scattered into a dense message law over
-every u-block (:class:`SchemeModel`), and any such law can be audited here.
+A :class:`htpriv.schemes.Scheme` is scattered, one chunk of u-blocks at a
+time, into a dense message law over every u-block (:class:`SchemeModel`), and
+any such law can be audited here.
 Each exact quantity is read off the block table P[m, s-block, v-block], made
 by contracting the law with the per-letter law one u-letter at a time, last
 letter first, with the (s_i, v_i) pairs kept interleaved until the last
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probcore import (
-    Channel,
     Pmf,
     all_sequences,
     bayes_decision,
+    block_digits,
     block_index,
     choice_cdf,
     choice_draws,
@@ -54,7 +55,6 @@ __all__ = [
     "CounterexamplePoint",
     "BudgetExceededError",
     "AssumptionViolatedError",
-    "all_sequences",
     "law_model",
     "quantize_timeshare_model",
     "likelihood_model",
@@ -144,20 +144,32 @@ def _law_table(law: MessageLaw) -> tuple[SchemeModel, np.ndarray]:
 
     The error message is column 0; every other code the law lists, even with
     probability 0, gets a column in order of first appearance (block by
-    block, pair by pair).
+    block, pair by pair).  The u-blocks are streamed one chunk at a time:
+    each chunk's new codes get their columns, and only its distinct (block,
+    column) cells are kept until the table is written.
+    ``BudgetExceededError`` is raised at the first chunk whose codes make the
+    table exceed ``MAX_JOINT_CELLS`` cells.
     """
-    blocks = all_sequences(law.u_size, law.n)
-    parts = [law.pairs(blocks[rows]) for rows in chunk_rows(len(blocks), law.width * law.n)]
-    codes = np.concatenate([c for c, _ in parts]).ravel()
-    probs = np.concatenate([p for _, p in parts]).ravel()
-    uniq, first = np.unique(np.concatenate([[0], codes]), return_index=True)
-    order = np.argsort(first)
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    table = np.zeros((blocks.shape[0], order.size))
-    np.add.at(table, (np.arange(codes.size) // law.width,
-                      column[np.searchsorted(uniq, codes)]), probs)
-    col_codes = uniq[order]
+    rows, column, cells = law.u_size ** law.n, {0: 0}, []
+    for chunk in chunk_rows(rows, law.width * law.n):
+        blocks = np.arange(chunk.start, min(chunk.stop, rows))
+        codes, probs = law.pairs(block_digits(blocks, law.u_size, law.n))
+        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        for code in uniq[np.argsort(first)].tolist():
+            column.setdefault(code, len(column))
+        if rows * len(column) > MAX_JOINT_CELLS:
+            raise BudgetExceededError(f"{rows} u-blocks x {len(column)} messages exceed the "
+                                      f"budget {MAX_JOINT_CELLS:.3g}")
+        # each (block, code) cell summed in pair order, as one scatter of all pairs would
+        key = np.arange(codes.size) // law.width * uniq.size + inverse.ravel()
+        cell, slot = np.unique(key, return_inverse=True)
+        col = np.array([column[code] for code in uniq.tolist()])
+        cells.append((blocks[cell // uniq.size], col[cell % uniq.size],
+                      np.bincount(slot, weights=probs.ravel())))
+    table = np.zeros((rows, len(column)))
+    for block, col, mass in cells:
+        table[block, col] = mass
+    col_codes = np.array(list(column), dtype=np.int64)
     model = SchemeModel(law.n, law.u_size, table, tuple(law.label(c) for c in col_codes))
     return model, col_codes
 
@@ -188,19 +200,11 @@ def full_disclosure_model(u_size: int, n: int) -> SchemeModel:
 
 def message_map_model(u_size: int, n: int, fn) -> SchemeModel:
     """Deterministic per-block message map; ``fn(seq) -> hashable label``."""
-    seqs = all_sequences(u_size, n)
-    labels = []
-    cols = {}
-    col_of = np.empty(seqs.shape[0], dtype=np.int64)
-    for i, s in enumerate(seqs):
-        lab = fn(tuple(int(x) for x in s))
-        if lab not in cols:
-            cols[lab] = len(labels)
-            labels.append(lab)
-        col_of[i] = cols[lab]
-    law = np.zeros((seqs.shape[0], len(labels)))
-    law[np.arange(seqs.shape[0]), col_of] = 1.0
-    return SchemeModel(n, u_size, law, tuple(labels))
+    cols = {}       # label -> column, in order of first appearance
+    col_of = [cols.setdefault(fn(tuple(s)), len(cols)) for s in all_sequences(u_size, n).tolist()]
+    law = np.zeros((len(col_of), len(cols)))
+    law[np.arange(len(col_of)), col_of] = 1.0
+    return SchemeModel(n, u_size, law, tuple(cols))
 
 
 def scheme_model_for(config: SchemeConfig, pair: HypothesisPair, n: int,
@@ -210,10 +214,9 @@ def scheme_model_for(config: SchemeConfig, pair: HypothesisPair, n: int,
     return law_model(make_scheme(config, pair, n, seed).law)
 
 
-def likelihood_model(cb: Codebook, p_u_given_w: Channel,
-                     delta_prime: float) -> SchemeModel:
+def likelihood_model(cb: Codebook, delta_prime: float) -> SchemeModel:
     """Exact message law induced by the likelihood encoder for a fixed codebook."""
-    return law_model(likelihood_law(cb, p_u_given_w, delta_prime))
+    return law_model(likelihood_law(cb, delta_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +439,16 @@ def mc_privacy_estimate(model: SchemeModel, pair: HypothesisPair, n: int,
                                    "message; the biased estimate is undefined")
             eq_samples[rows] += np.log(means[1]) - np.log(means[0])
 
-    eq_mean = float(eq_samples.mean()) / n
-    eq_se = float(eq_samples.std(ddof=1) / math.sqrt(trials)) / n if trials > 1 else 0.0
-    dist_mean = None
-    dist_se = 0.0
-    if dist_samples is not None:
-        dist_mean = float(dist_samples.mean()) / n
-        dist_se = float(dist_samples.std(ddof=1) / math.sqrt(trials)) / n if trials > 1 else 0.0
-    return PrivacyReport(
-        n=n, hypothesis=hypothesis,
-        equivocation_per_letter=eq_mean,
-        causal_distortion_per_letter=dist_mean,
-        equivocation_stderr=eq_se,
-        distortion_stderr=dist_se,
-        biased=biased,
-    )
+    def per_letter(samples):
+        """Per-letter sample mean and its standard error."""
+        se = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        return float(samples.mean()) / n, se / n
+
+    eq, eq_se = per_letter(eq_samples)
+    dist, dist_se = (None, 0.0) if dist_samples is None else per_letter(dist_samples)
+    return PrivacyReport(n=n, hypothesis=hypothesis, equivocation_per_letter=eq,
+                         causal_distortion_per_letter=dist, equivocation_stderr=eq_se,
+                         distortion_stderr=dist_se, biased=biased)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,13 @@ def _run_frontier(pair, params, seed):
     if not {"Y", "Z"} <= set(pair.p.names):
         raise ExperimentError('frontier expects a conditional-independence instance '
                               'with axes ("S","U","Y","Z")')
+    # the search rebuilds Q from Q_{S|UYZ} and the null law's marginals
     q_cond = instances.conditional_s_given_rest(pair.q)
+    q_taci = regions.taci_alternate_law(pair.p, q_cond).probs
+    q_file = pair.q.marginal_array(("S", "U", "Y", "Z"))
+    if not pmf_close(q_taci, q_file):
+        raise ExperimentError("frontier needs Q = Q_{S|UYZ} P_{U|Z} P_{Y|Z} P_Z; the instance's "
+                              f"Q deviates by {np.abs(q_taci - q_file).max():.3g} in one cell")
     points = regions.taci_frontier(pair.p, q_cond, regions.FrontierConfig(rng_seed=seed, **params))
     rows = [
         (nats_to_bits(pt.rate), nats_to_bits(pt.exponent), nats_to_bits(pt.privacy0),
@@ -242,13 +248,11 @@ def _run_simulate(pair, params, seed):
                               f"got {cfg.w_channel.input_size} rows")
     # the likelihood encoder tests u-typicality at delta' = delta/2
     _warn_empty_typical_set(pair, n, cfg.delta_prime if scheme == "likelihood" else cfg.delta)
-    if scheme == "likelihood":
-        # the codebook run_trials draws (same seed); with identity binning the
-        # message names the codeword and the binning stage is never exercised
-        cb = schemes.likelihood_setup(cfg, pair, n, seed).codebook
-        if cb.identity_binning:
-            print(json.dumps({"warning": "inactive_binning", "n": n, "codewords": cb.size,
-                              "rate_nats": cfg.rate_nats}), file=sys.stderr)
+    built = schemes.make_scheme(cfg, pair, n, seed)
+    # with identity binning the message names the codeword: no bin is decoded
+    if built.codebook is not None and built.codebook.identity_binning:
+        print(json.dumps({"warning": "inactive_binning", "n": n, "codewords": built.codebook.size,
+                          "rate_nats": cfg.rate_nats}), file=sys.stderr)
     stats = schemes.run_trials(cfg, pair, n, trials, seed)
     rows = [(
         "trials", scheme, n, trials, seed, stats.type1_errors,
@@ -258,7 +262,7 @@ def _run_simulate(pair, params, seed):
         "", "", "", "",
     )]
     if privacy != "none":
-        model = adversary.scheme_model_for(cfg, pair, n, seed)
+        model = adversary.law_model(built.law)
         for hyp in (0, 1):
             if privacy == "exact":
                 eq = adversary.exact_equivocation(model, pair, n, hyp) / n

@@ -16,8 +16,8 @@ from functools import reduce
 import numpy as np
 from scipy.optimize import linprog
 
-from .adversary import SchemeModel, all_sequences
-from .probcore import JointPmf
+from .adversary import SchemeModel
+from .probcore import JointPmf, all_sequences
 from .regions import HypothesisPair
 
 __all__ = [

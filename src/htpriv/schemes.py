@@ -7,14 +7,19 @@ decoding, the one-bit typicality scheme for the zero-rate regime, and the
 time-shared quantization scheme used by the strong-converse counterexample.
 The Monte Carlo trial runner here, and the exact error probabilities and
 privacy audits in :mod:`htpriv.adversary`, all consume the same ``Scheme``.
+The likelihood scheme is fixed by its :class:`Codebook`, which holds the
+(U, W) joint P_U P_{W|U} it was drawn for: the codeword law P_W, the
+codebook size through I(U;W), the encoder's selection law P(U|W) and the
+detector's declared-type gate are all read off that one joint.
 Everything is deterministic given seeds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,8 +59,6 @@ __all__ = [
     "chunk_rows",
     "run_trials",
     "wilson_interval",
-    "LikelihoodSetup",
-    "likelihood_setup",
 ]
 
 DELTA_DEFAULT = 0.05
@@ -74,34 +77,61 @@ class CodebookSizeError(ValueError):
 
 @dataclass(frozen=True)
 class Codebook:
-    """Random codebook with binning map.
+    """Random codebook with binning map, drawn for the (U, W) joint ``p_uw``.
 
+    ``p_uw`` is the (|U|, |W|) joint P_U P_{W|U} of the test channel; the
+    codeword law P_W, |U|, I(U;W) and log P(U|W) are read off it.
     ``codewords`` has shape (M', n); ``bins[j]`` is the bin of codeword j.
     ``identity_binning`` marks the regime where the rate is large enough that
     no binning is needed and the codeword index itself is sent.
     """
 
     n: int
-    p_w: Pmf
+    p_uw: np.ndarray
     codewords: np.ndarray
     bins: np.ndarray
     num_bins: int
     identity_binning: bool
-    u_size: int
+
+    def __post_init__(self):
+        p_uw = np.asarray(self.p_uw, dtype=float)
+        if p_uw.ndim != 2:
+            raise ValueError(f"p_uw must be a (|U|, |W|) joint, got shape {p_uw.shape}")
+        object.__setattr__(self, "p_uw", Pmf(p_uw.ravel()).probs.reshape(p_uw.shape))
 
     @property
     def size(self) -> int:
         return int(self.codewords.shape[0])
+
+    @property
+    def p_w(self) -> Pmf:
+        return Pmf(self.p_uw.sum(axis=0))
+
+    @property
+    def u_size(self) -> int:
+        return self.p_uw.shape[0]
+
+    @property
+    def mutual_info_uw(self) -> float:
+        """I(U;W) in nats."""
+        return kl_of_arrays(self.p_uw, self.p_uw.sum(axis=1)[:, None] * self.p_w.probs)
+
+    @property
+    def log_u_given_w(self) -> np.ndarray:
+        """log P(u | w), shape (|W|, |U|).  A row with P_W(w) = 0 is nan; it
+        is never indexed, because no codeword holds such a w."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self.p_uw.T / self.p_w.probs[:, None])
 
 
 # ---------------------------------------------------------------------------
 # codebook and decoder
 # ---------------------------------------------------------------------------
 
-def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
-                   mutual_info_uw: float, u_size: int) -> Codebook:
-    """Draw ceil(exp(n (I(U;W) + eta))) i.i.d. codewords from p_w and bin them;
-    more than ``MAX_CODEWORDS`` raises CodebookSizeError.
+def build_codebook(p_uw: np.ndarray, n: int, eta: float, rate: float, seed: int) -> Codebook:
+    """Draw ceil(exp(n (I(U;W) + eta))) i.i.d. codewords from P_W and bin them,
+    both read off the (U, W) joint ``p_uw``; more than ``MAX_CODEWORDS``
+    raises CodebookSizeError.
 
     Binning is uniform at rate R - |U||W| log(n+1)/n when the codebook rate
     exceeds R (after the type-counting correction); otherwise the bin map is
@@ -113,25 +143,20 @@ def build_codebook(p_w: Pmf, n: int, eta: float, rate: float, seed: int, *,
         raise ValueError("eta must be > 0")
     if rate < 0:
         raise ValueError("rate must be >= 0")
-    m_exact = math.exp(n * (mutual_info_uw + eta))
+    cb = Codebook(n, p_uw, np.zeros((0, n), np.int64), np.zeros(0, np.int64), 0, True)  # undrawn
+    p_w, i_uw = cb.p_w, cb.mutual_info_uw
+    m_exact = math.exp(n * (i_uw + eta))
     if m_exact > MAX_CODEWORDS:
-        raise CodebookSizeError(
-            f"codebook of {m_exact:.3g} codewords exceeds cap {MAX_CODEWORDS}"
-        )
+        raise CodebookSizeError(f"codebook of {m_exact:.3g} codewords exceeds cap {MAX_CODEWORDS}")
     m = max(1, math.ceil(m_exact))
     rng = np.random.default_rng(seed)
     codewords = rng.choice(p_w.support_size, size=(m, n), p=p_w.probs)
-    correction = u_size * p_w.support_size * math.log(n + 1) / n
-    if mutual_info_uw + eta + correction > rate:
-        num_bins = max(1, math.ceil(math.exp(n * (rate - correction))))
-        bins = rng.integers(0, num_bins, size=m)
-        identity = False
-    else:
-        bins = np.arange(m)
-        num_bins = m
-        identity = True
-    return Codebook(n=n, p_w=p_w, codewords=codewords, bins=bins, num_bins=num_bins,
-                    identity_binning=identity, u_size=u_size)
+    correction = cb.u_size * p_w.support_size * math.log(n + 1) / n
+    binned = i_uw + eta + correction > rate
+    num_bins = max(1, math.ceil(math.exp(n * (rate - correction)))) if binned else m
+    bins = rng.integers(0, num_bins, size=m) if binned else np.arange(m)
+    return dataclasses.replace(cb, codewords=codewords, bins=bins, num_bins=num_bins,
+                               identity_binning=not binned)
 
 
 def min_entropy_decode(cb: Codebook, bins: np.ndarray, vblocks: np.ndarray,
@@ -147,7 +172,7 @@ def min_entropy_decode(cb: Codebook, bins: np.ndarray, vblocks: np.ndarray,
     bins = np.asarray(bins, dtype=np.int64)
     if cb.identity_binning:
         return bins.copy()
-    n, nw = cb.n, cb.p_w.support_size
+    n, nw = cb.n, cb.p_uw.shape[1]
     # the typical codewords grouped by bin, in index order within a bin
     members = np.flatnonzero(typical_rows(cb.codewords, cb.p_w.probs, delta_hat))
     members = members[np.argsort(cb.bins[members], kind="stable")]
@@ -209,13 +234,14 @@ class Scheme:
 
     law: MessageLaw
     accepts: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    codebook: Codebook | None = None   # the likelihood scheme's; None for the others
 
 
-def chunk_rows(count: int, row_cells: int) -> list[slice]:
-    """Slices of ``count`` rows of ``row_cells`` cells each that bound the
-    memory of one vectorised call."""
+def chunk_rows(count: int, row_cells: int) -> Iterator[slice]:
+    """Lazy slices of ``count`` rows of ``row_cells`` cells each that bound
+    the memory of one vectorised call."""
     step = max(1, CHUNK_CELLS // row_cells)
-    return [slice(i, i + step) for i in range(0, count, step)]
+    return (slice(i, i + step) for i in range(0, count, step))
 
 
 def sample_codes(law: MessageLaw, ublocks: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -258,21 +284,21 @@ def timeshare_law(p_u: Pmf, n: int, delta: float, epsilon_star: float) -> Messag
                       lambda code: "error" if code == 0 else ("seq", int(code) - 1))
 
 
-def likelihood_law(cb: Codebook, p_u_given_w: Channel, delta_prime: float) -> MessageLaw:
+def likelihood_law(cb: Codebook, delta_prime: float) -> MessageLaw:
     """Stochastic likelihood encoder with binning, one pair per codeword.
 
-    Atypical u-blocks, and blocks under which every codeword has zero
-    likelihood, send the error message.  Otherwise codeword j is chosen with
+    Atypical u-blocks (for P_U), and blocks under which every codeword has
+    zero likelihood P(u | w(j)), send the error message; both laws are read
+    off the codebook's (U, W) joint.  Otherwise codeword j is chosen with
     probability proportional to the product likelihood of the block under
     it (log domain, max subtracted), and the message is the joint type of
     (u, w(j)) with the bin b of j.  The type is the tuple c of |U||W| letter
     counts (cell u |W| + w), indexed as t = block_index(c, n + 1); the message
     is coded 1 + t * num_bins + b and labelled ("type", c, "bin", b).
     """
-    p_u = Pmf(cb.p_w.probs @ p_u_given_w.rows)
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(p_u_given_w.rows)       # (|W|, |U|)
-    n, nu, nw = cb.n, cb.u_size, cb.p_w.support_size
+    p_u = cb.p_uw.sum(axis=1)
+    log_rows = cb.log_u_given_w                   # (|W|, |U|)
+    n, (nu, nw) = cb.n, cb.p_uw.shape
     if (n + 1) ** (nu * nw) * cb.num_bins >= 2 ** 62:
         raise CodebookSizeError("joint types x bins exceed the message code range")
 
@@ -281,7 +307,7 @@ def likelihood_law(cb: Codebook, p_u_given_w: Channel, delta_prime: float) -> Me
         codes = np.zeros((count, size), dtype=np.int64)
         probs = np.zeros((count, size))
         probs[:, 0] = 1.0
-        rows = np.flatnonzero(typical_rows(ublocks, p_u.probs, delta_prime))
+        rows = np.flatnonzero(typical_rows(ublocks, p_u, delta_prime))
         # log of the unnormalized selection law, sum_i log P(u_i | w_i(j))
         logits = log_rows[cb.codewords, ublocks[rows][:, None, :]].sum(axis=-1)
         live = np.isfinite(logits).any(axis=1)
@@ -303,15 +329,14 @@ def likelihood_law(cb: Codebook, p_u_given_w: Channel, delta_prime: float) -> Me
     return MessageLaw(n, nu, cb.size, pairs, label)
 
 
-def likelihood_encode(cb: Codebook, u, p_u_given_w: Channel,
-                      delta_prime: float, seed: int):
+def likelihood_encode(cb: Codebook, u, delta_prime: float, seed: int):
     """The label of one draw of :func:`likelihood_law` for the block ``u`` (a
     :class:`~htpriv.probcore.SequenceSample`), with the uniform taken from
     ``np.random.default_rng(seed)``: ``"error"`` or ``("type", c, "bin", b)``,
     where c is the tuple of joint-type counts of (u, w(j)), cell u |W| + w."""
     if u.n != cb.n:
         raise ValueError(f"sequence length {u.n} != codebook blocklength {cb.n}")
-    law = likelihood_law(cb, p_u_given_w, delta_prime)
+    law = likelihood_law(cb, delta_prime)
     return law.label(sample_codes(law, u.symbols[None, :],
                                   np.random.default_rng(seed).random(1))[0])
 
@@ -351,73 +376,45 @@ class SchemeConfig:
         return 2.0 * self.delta
 
 
-@dataclass(frozen=True)
-class LikelihoodSetup:
-    """Codebook and derived laws for one likelihood-scheme instantiation."""
-
-    codebook: Codebook
-    reverse_channel: Channel     # P(U | W)
-    p_uw: np.ndarray             # null joint of (U, W)
-    p_wv: np.ndarray             # null joint of (W, V-flat)
-
-
-def likelihood_setup(config: SchemeConfig, pair: HypothesisPair, n: int,
-                     seed: int) -> LikelihoodSetup:
-    chan = config.w_channel
-    if chan is None:
-        chan = Channel(np.eye(pair.u_size()))
-    p_uv = pair.uv_law(0)
-    p_u = Pmf(p_uv.sum(axis=1))
-    p_w = Pmf(p_u.probs @ chan.rows)
-    joint_uw = p_u.probs[:, None] * chan.rows
-    p_w_marg = joint_uw.sum(axis=0)
-    i_uw = kl_of_arrays(joint_uw, p_u.probs[:, None] * p_w_marg[None, :])
-    cb = build_codebook(p_w, n, config.eta, config.rate_nats, seed,
-                        mutual_info_uw=i_uw, u_size=pair.u_size())
-    rev = np.divide(joint_uw.T, p_w_marg[:, None],
-                    out=np.full((chan.output_size, pair.u_size()), np.nan),
-                    where=p_w_marg[:, None] > 0)
-    rev[~np.isfinite(rev).all(axis=1)] = 1.0 / pair.u_size()
-    return LikelihoodSetup(codebook=cb, reverse_channel=Channel(rev),
-                           p_uw=joint_uw, p_wv=chan.rows.T @ p_uv)
-
-
-def likelihood_scheme(setup: LikelihoodSetup, config: SchemeConfig) -> Scheme:
-    """The likelihood scheme on a fixed codebook.  The detector accepts the
-    null iff the message is a payload, its declared joint type is within
-    delta of P_UW, min-entropy decoding in its bin succeeds, and the decoded
-    codeword is jointly delta_tilde-typical with v for P_WV.  Each step runs
-    on every (message, v-block) pair of a call at once."""
-    cb = setup.codebook
-    law = likelihood_law(cb, setup.reverse_channel, config.delta_prime)
-    n, nv = cb.n, setup.p_wv.shape[1]
+def likelihood_scheme(cb: Codebook, p_wv: np.ndarray, config: SchemeConfig) -> Scheme:
+    """The likelihood scheme on a fixed codebook, with ``p_wv`` the null
+    joint of (W, V-flat).  The detector accepts the null iff the message is a
+    payload, its declared joint type is within delta of the codebook's P_UW,
+    min-entropy decoding in its bin succeeds, and the decoded codeword is
+    jointly delta_tilde-typical with v for P_WV.  Each step runs on every
+    (message, v-block) pair of a call at once."""
+    law = likelihood_law(cb, config.delta_prime)
+    n, nv = cb.n, p_wv.shape[1]
 
     def accepts(codes, vblocks):
         out = np.zeros(len(codes), dtype=bool)
         rows = np.flatnonzero(codes > 0)
         t, b = np.divmod(codes[rows] - 1, cb.num_bins)
-        freqs = block_digits(t, n + 1, setup.p_uw.size) / n
-        gate = _typical_freqs(freqs, setup.p_uw.ravel(), config.delta)
+        freqs = block_digits(t, n + 1, cb.p_uw.size) / n
+        gate = _typical_freqs(freqs, cb.p_uw.ravel(), config.delta)
         rows, b = rows[gate], b[gate]
         j = min_entropy_decode(cb, b, vblocks[rows], config.delta_hat(cb.u_size))
         rows, j = rows[j >= 0], j[j >= 0]
-        out[rows] = typical_rows(cb.codewords[j] * nv + vblocks[rows], setup.p_wv.ravel(),
+        out[rows] = typical_rows(cb.codewords[j] * nv + vblocks[rows], p_wv.ravel(),
                                  config.delta_tilde)
         return out
 
-    return Scheme(law, accepts)
+    return Scheme(law, accepts, cb)
 
 
 def make_scheme(config: SchemeConfig, pair: HypothesisPair, n: int, seed: int) -> Scheme:
     """The configured scheme at blocklength n; ``seed`` draws the likelihood
-    scheme's codebook."""
+    scheme's codebook, for P_UW = P_U P_{W|U}, and its detector tests (w, v)
+    against P_WV = P_{W|U}^T P_UV."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if config.scheme == "likelihood":
-        return likelihood_scheme(likelihood_setup(config, pair, n, seed), config)
     p_uv = pair.uv_law(0)
     nu, nv = p_uv.shape
     p_u = Pmf(p_uv.sum(axis=1))
+    if config.scheme == "likelihood":
+        rows = np.eye(nu) if config.w_channel is None else config.w_channel.rows
+        cb = build_codebook(p_u.probs[:, None] * rows, n, config.eta, config.rate_nats, seed)
+        return likelihood_scheme(cb, rows.T @ p_uv, config)
     if config.scheme == "zero_rate":
         p_v = p_uv.sum(axis=0)
 

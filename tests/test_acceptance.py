@@ -10,7 +10,6 @@ import numpy as np
 
 from htpriv import instances
 from htpriv.adversary import (
-    all_sequences,
     counterexample_curve,
     exact_causal_distortion,
     exact_equivocation,
@@ -23,6 +22,7 @@ from htpriv.probcore import (
     Channel,
     JointPmf,
     Pmf,
+    all_sequences,
     conditional_entropy,
     conditional_mutual_information,
     entropy,

@@ -1,6 +1,7 @@
 """Exact finite-n privacy audits: factorization identities, oracle agreement,
 and the time-sharing counterexample."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -23,7 +24,6 @@ from htpriv.adversary import (
     _errors,
     _law_table,
     _letter_law,
-    all_sequences,
     constant_model,
     counterexample_curve,
     exact_causal_distortion,
@@ -38,7 +38,8 @@ from htpriv.adversary import (
     scheme_model_for,
 )
 from htpriv.probcore import (
-    Channel, JointPmf, Pmf, block_index, conditional_entropy, inverse_cdf, pmf_close,
+    Channel, JointPmf, Pmf, all_sequences, block_index, conditional_entropy, inverse_cdf,
+    pmf_close,
 )
 from htpriv.regions import HypothesisPair, theorem1_point, theorem2_point, zero_rate_privacy
 from htpriv.schemes import SchemeConfig, build_codebook, make_scheme, zero_rate_law
@@ -251,14 +252,8 @@ class TestLikelihoodModel:
         pair = instances.example1_pair(0.2, 0.0)
         p_u = pair.p.marginal_pmf("U")
         wch = Channel([[0.85, 0.15], [0.15, 0.85]])
-        joint_uw = p_u.probs[:, None] * wch.rows
-        p_w = Pmf(joint_uw.sum(axis=0))
-        rev = Channel((joint_uw / joint_uw.sum(axis=0)[None, :]).T)
-        i_uw = float(np.sum(joint_uw * np.log(
-            joint_uw / (p_u.probs[:, None] * p_w.probs[None, :]))))
-        cb = build_codebook(p_w, n=3, eta=0.05, rate=2.0, seed=2,
-                            mutual_info_uw=i_uw, u_size=2)
-        model = likelihood_model(cb, rev, delta_prime=0.4)
+        cb = build_codebook(p_u.probs[:, None] * wch.rows, n=3, eta=0.05, rate=2.0, seed=2)
+        model = likelihood_model(cb, delta_prime=0.4)
         assert model.labels[0] == "error"
         np.testing.assert_allclose(model.law.sum(axis=1), 1.0, atol=1e-12)
         # equivocation under this model stays within the information bounds
@@ -405,9 +400,6 @@ def _typical(freq, probs, delta) -> bool:
 def _acceptance_predicate(cfg, pair, n, seed):
     """The scheme's detector on message labels, written apart from the
     program's acceptance tests, for the brute-force oracle."""
-    from htpriv.adversary import all_sequences
-    from htpriv.schemes import likelihood_setup
-
     p_uv = pair.p.marginal(("U", "V")).probs
     nu, nv = p_uv.shape
     d = cfg.delta
@@ -425,9 +417,11 @@ def _acceptance_predicate(cfg, pair, n, seed):
         return lambda label, v: label != "error" and _typical(
             joint_freq(ublocks[label[1]], v, (nu, nv)), p_uv, 2 * d)
 
-    setup = likelihood_setup(cfg, pair, n, seed)
-    cb = setup.codebook
-    nw = cb.p_w.support_size
+    # the scheme's codebook; its laws are rebuilt here from the test channel
+    cb = make_scheme(cfg, pair, n, seed).codebook
+    rows = np.eye(nu) if cfg.w_channel is None else cfg.w_channel.rows
+    p_uw, p_wv = p_uv.sum(axis=1)[:, None] * rows, rows.T @ p_uv
+    nw = rows.shape[1]
 
     def cond_entropy_w_given_v(w, v):
         joint = joint_freq(w, v, (nw, nv))
@@ -438,7 +432,7 @@ def _acceptance_predicate(cfg, pair, n, seed):
         if label == "error":
             return False
         _, counts, _, b = label
-        if not _typical(np.reshape(counts, (nu, nw)) / n, setup.p_uw, d):
+        if not _typical(np.reshape(counts, (nu, nw)) / n, p_uw, d):
             return False
         if cb.identity_binning:
             j = b
@@ -447,14 +441,14 @@ def _acceptance_predicate(cfg, pair, n, seed):
             for cand in range(cb.size):
                 w = cb.codewords[cand]
                 if cb.bins[cand] != b or not _typical(
-                        np.bincount(w, minlength=nw) / n, cb.p_w.probs, nu * d):
+                        np.bincount(w, minlength=nw) / n, p_uw.sum(axis=0), nu * d):
                     continue
                 h = cond_entropy_w_given_v(w, v)
                 if h < best - 1e-15:
                     j, best = cand, h
             if j is None:
                 return False
-        return _typical(joint_freq(cb.codewords[j], v, (nw, nv)), setup.p_wv, 2 * d)
+        return _typical(joint_freq(cb.codewords[j], v, (nw, nv)), p_wv, 2 * d)
 
     return accepts
 
@@ -517,16 +511,19 @@ class TestSchemeModelFor:
         assert exact == pytest.approx(oracle, abs=1e-12)
 
     def test_likelihood_model_seed_matches_setup(self):
-        from htpriv.schemes import SchemeConfig, likelihood_setup
-        from htpriv.adversary import scheme_model_for
+        # the audited law is the likelihood law of the codebook the scheme
+        # draws with the same seed
         pair = instances.example1_pair(0.2, 0.0)
         wch = Channel([[0.9, 0.1], [0.1, 0.9]])
         cfg = SchemeConfig(scheme="likelihood", delta=0.3, rate_nats=1.0,
                            w_channel=wch)
-        model = scheme_model_for(cfg, pair, 3, seed=5)
-        setup = likelihood_setup(cfg, pair, 3, seed=5)
-        assert model.n == setup.codebook.n == 3
+        model = scheme_model_for(cfg, pair, 5, seed=5)
+        cb = make_scheme(cfg, pair, 5, seed=5).codebook
+        assert model.n == cb.n == 5
         np.testing.assert_allclose(model.law.sum(axis=1), 1.0, atol=1e-12)
+        want = likelihood_model(cb, cfg.delta_prime)
+        assert model.labels == want.labels and model.num_messages > 1
+        np.testing.assert_array_equal(model.law, want.law)
 
 
 class TestMultiAxisObservation:
@@ -633,6 +630,84 @@ class TestModelBuilders:
     def test_message_map_model_invalid_rows_rejected(self):
         with pytest.raises(ValueError):
             SchemeModel(1, 2, np.array([[0.5, 0.4], [0.5, 0.5]]), ("a", "b"))
+
+
+def loop_law_table(law):
+    """Reference for ``_law_table``: one u-block at a time, each pair added
+    to its message's cell in pair order, a new code getting the next column."""
+    column, cells = {0: 0}, {}
+    for block in range(law.u_size ** law.n):
+        codes, probs = law.pairs(all_sequences(law.u_size, law.n)[block][None])
+        for code, prob in zip(codes[0].tolist(), probs[0].tolist()):
+            col = column.setdefault(code, len(column))
+            cells[block, col] = cells.get((block, col), 0.0) + prob
+    table = np.zeros((law.u_size ** law.n, len(column)))
+    for (block, col), mass in cells.items():
+        table[block, col] = mass
+    return table, np.array(list(column), dtype=np.int64)
+
+
+class TestLawTable:
+    NOISY = Channel([[0.9, 0.1], [0.1, 0.9]])
+    CASES = {
+        "zero_rate": (instances.zero_rate_binary_pair, dict(scheme="zero_rate", delta=0.15), 6),
+        "zero_rate_four_letters": (instances.example2_pair,
+                                   dict(scheme="zero_rate", delta=0.2), 4),
+        "timeshare": (instances.counterexample_pair,
+                      dict(scheme="timeshare", delta=0.2, epsilon_star=0.25), 6),
+        "likelihood_noisy": (lambda: instances.example1_pair(0.2, 0.0),
+                             dict(scheme="likelihood", delta=0.3, w_channel=NOISY), 6),
+        "likelihood_copy": (instances.zero_rate_binary_pair,
+                            dict(scheme="likelihood", delta=0.3), 6),
+    }
+
+    @pytest.mark.parametrize("blocks_per_chunk", [None, 1, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_block_by_block_reference(self, case, blocks_per_chunk, monkeypatch):
+        make_pair, kwargs, n = self.CASES[case]
+        law = make_scheme(SchemeConfig(**kwargs), make_pair(), n, seed=3).law
+        if blocks_per_chunk is not None:
+            monkeypatch.setattr(schemes, "CHUNK_CELLS", blocks_per_chunk * law.width * n)
+        model, codes = _law_table(law)
+        table, want_codes = loop_law_table(law)
+        assert model.num_messages > 1
+        np.testing.assert_array_equal(codes, want_codes)
+        assert model.labels == tuple(law.label(c) for c in want_codes)
+        assert model.law.tobytes() == table.tobytes()
+
+    def test_likelihood_law_peak_memory(self):
+        # 1024 u-blocks by 1689 codewords: every (code, probability) pair of
+        # the law at once, and their scatter, peaked at 109 MiB; the table
+        # itself is 1024 x 7 cells
+        pair = instances.zero_rate_binary_pair()
+        law = make_scheme(SchemeConfig(scheme="likelihood", delta=0.3), pair, 10, seed=0).law
+        assert law.width == 1689
+        tracemalloc.start()
+        try:
+            model, _ = _law_table(law)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.num_messages == 7
+        assert peak < 16 * 2 ** 20
+
+    def test_budget_error_before_the_table(self, monkeypatch):
+        law = zero_rate_law(Pmf([0.5, 0.5]), 6, delta=0.15)       # 64 blocks, 2 messages
+        monkeypatch.setattr(adversary, "MAX_JOINT_CELLS", 128)
+        assert law_model(law).num_messages == 2
+        monkeypatch.setattr(adversary, "MAX_JOINT_CELLS", 127)
+        with pytest.raises(BudgetExceededError, match="64 u-blocks x 2 messages"):
+            law_model(law)
+
+    def test_budget_error_at_the_first_chunk(self):
+        # 2^30 u-blocks cannot fit even one column: the first chunk of blocks
+        # is the only one enumerated
+        law = zero_rate_law(Pmf([0.5, 0.5]), 30, delta=0.1)
+        sizes = []
+        counted = dataclasses.replace(law, pairs=lambda b: sizes.append(len(b)) or law.pairs(b))
+        with pytest.raises(BudgetExceededError, match=f"{2 ** 30} u-blocks"):
+            law_model(counted)
+        assert len(sizes) == 1 and sizes[0] < 2 ** 14
 
 
 def parity_with_silent_messages(n: int) -> SchemeModel:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htpriv import instances, schemes
+from htpriv import instances, regions, schemes
 from htpriv.cli import PARAM_KEYS, SCHEME_KEYS, main, validate_instance
 from htpriv.probcore import Channel, JointPmf, binary_entropy
 from htpriv.regions import FrontierConfig, HypothesisPair
@@ -127,6 +127,28 @@ class TestFrontierExperiment:
         assert not out.exists()
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["error"] == "ValueError" and field in rec["message"]
+
+    def test_alternate_law_of_other_form_fails(self, tmp_path, capsys):
+        # the search evaluates Q_{S|UYZ} P_{U|Z} P_{Y|Z} P_Z, so a Q that is
+        # not of that form would be replaced silently
+        rec = json.loads((ROOT / "instances" / "example1_taci.json").read_text())
+        rng = np.random.default_rng(5)
+        q = rng.dirichlet(np.ones(8))
+        rec["q_suv"]["probs"] = q.tolist()
+        inst = tmp_path / "not_taci.json"
+        inst.write_text(json.dumps(rec))
+        pair = instances.load_instance(str(inst))
+        q_taci = regions.taci_alternate_law(pair.p, instances.conditional_s_given_rest(pair.q))
+        deviation = np.abs(q_taci.probs - q.reshape(2, 2, 2, 1)).max()
+        assert deviation > 0.01
+        out = tmp_path / "front.csv"
+        rc = main(["run", "--experiment", "frontier", "--instance", str(inst),
+                   "--out", str(out), "--param", "w_sizes=2", "--param", "random_seeds=1"])
+        assert rc == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ExperimentError"
+        assert f"by {deviation:.3g} in one cell" in err["message"]
 
     def test_structured_seeds_is_unknown_key(self, tmp_path, capsys):
         # the structured seed family is fixed; it is no parameter of the search
@@ -294,6 +316,19 @@ class TestSimulateAndZeroRate:
             assert 0.0 <= float(p["equivocation_bits_per_letter"]) <= 1.0
 
 
+    def test_law_over_budget_fails(self, tmp_path, capsys):
+        # 2^26 u-blocks by 2 messages exceed MAX_JOINT_CELLS: the dense law
+        # is refused before it is enumerated, not allocated
+        out = tmp_path / "sim.csv"
+        rc = main(["run", "--experiment", "simulate", "--instance",
+                   str(ROOT / "instances" / "zero_rate_binary.json"), "--out", str(out),
+                   "--param", "scheme=zero_rate", "--param", "n=26", "--param", "trials=1000",
+                   "--param", "privacy=mc"])
+        assert rc == 1
+        assert not out.exists()
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "BudgetExceededError" and "67108864 u-blocks" in rec["message"]
+
     def simulate_likelihood(self, tmp_path, name, *params):
         inst = tmp_path / "ex1.json"
         instances.save_instance(instances.example1_pair(0.2, 0.0), str(inst))
@@ -310,7 +345,7 @@ class TestSimulateAndZeroRate:
         assert rc == 0
         pair = instances.example1_pair(0.2, 0.0)
         cfg = schemes.SchemeConfig(scheme="likelihood", delta=0.3, rate_nats=5.0)
-        cb = schemes.likelihood_setup(cfg, pair, 6, 3).codebook
+        cb = schemes.make_scheme(cfg, pair, 6, 3).codebook
         assert cb.identity_binning
         assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
             {"warning": "inactive_binning", "n": 6, "codewords": cb.size, "rate_nats": 5.0}]

@@ -30,11 +30,16 @@ def test_package_and_cli_import_without_scipy():
 
 def test_every_exported_name_resolves():
     # a deleted function must leave no stale entry in any __all__ or in the
-    # package namespace
+    # package namespace, and a module exports only its own functions and
+    # classes, not names it imported from another module
     for info in pkgutil.iter_modules(htpriv.__path__):
         module = importlib.import_module(f"htpriv.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"htpriv.{info.name}.__all__ names missing {name!r}"
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, \
+                    f"htpriv.{info.name}.__all__ re-exports {obj.__module__}.{name}"
     for name, obj in vars(htpriv).items():
         if name.startswith("_") or inspect.ismodule(obj):
             continue

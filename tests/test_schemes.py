@@ -12,6 +12,7 @@ from htpriv.probcore import (
     JointPmf,
     Pmf,
     SequenceSample,
+    all_sequences,
     empirical_cond_entropy,
     is_typical,
     type_counts,
@@ -20,7 +21,6 @@ from htpriv.regions import HypothesisPair
 from htpriv.schemes import (
     Codebook,
     CodebookSizeError,
-    LikelihoodSetup,
     SchemeConfig,
     TrialStats,
     build_codebook,
@@ -39,14 +39,19 @@ from htpriv.schemes import (
 from conftest import MASTER_SEED
 
 
-def toy_codebook(codewords, bins=None, p_w=(0.5, 0.5), n=None, u_size=2,
-                 identity=False) -> Codebook:
+def uw_joint(u_given_w, p_w=(0.5, 0.5)) -> np.ndarray:
+    """The (U, W) joint P_W(w) P(u | w), from the rows P(. | w)."""
+    return (np.asarray(p_w)[:, None] * np.asarray(u_given_w)).T
+
+
+UNIFORM_UW = np.full((2, 2), 0.25)
+
+
+def toy_codebook(codewords, bins=None, p_uw=UNIFORM_UW, identity=False) -> Codebook:
     cw = np.asarray(codewords, dtype=np.int64)
-    n = n or cw.shape[1]
     bins = np.asarray(bins if bins is not None else np.zeros(cw.shape[0]), dtype=np.int64)
-    return Codebook(n=n, p_w=Pmf(p_w), codewords=cw,
-                    bins=bins, num_bins=int(bins.max()) + 1,
-                    identity_binning=identity, u_size=u_size)
+    return Codebook(n=cw.shape[1], p_uw=p_uw, codewords=cw,
+                    bins=bins, num_bins=int(bins.max()) + 1, identity_binning=identity)
 
 
 def sent(law, block) -> dict:
@@ -60,82 +65,151 @@ def uniform_pair() -> HypothesisPair:
     return HypothesisPair(j, j)
 
 
+# W = U with P_U uniform: I(U;W) = log 2
+COPY_UW = np.diag([0.5, 0.5])
+
+
 class TestBuildCodebook:
     def test_size_formula_n1(self):
-        cb = build_codebook(Pmf([0.5, 0.5]), n=1, eta=0.05, rate=5.0, seed=1,
-                            mutual_info_uw=math.log(2), u_size=2)
+        cb = build_codebook(COPY_UW, n=1, eta=0.05, rate=5.0, seed=1)
         assert cb.size == math.ceil(math.exp(math.log(2) + 0.05))
 
     def test_identity_binning_at_high_rate(self):
-        cb = build_codebook(Pmf([0.5, 0.5]), n=4, eta=0.05, rate=10.0, seed=1,
-                            mutual_info_uw=0.3, u_size=2)
+        cb = build_codebook(uw_joint([[0.8, 0.2], [0.2, 0.8]]), n=4, eta=0.05, rate=10.0,
+                            seed=1)
         assert cb.identity_binning
         np.testing.assert_array_equal(cb.bins, np.arange(cb.size))
 
     def test_uniform_binning_at_low_rate(self):
-        cb = build_codebook(Pmf([0.5, 0.5]), n=8, eta=0.05, rate=0.2, seed=1,
-                            mutual_info_uw=math.log(2), u_size=2)
+        cb = build_codebook(COPY_UW, n=8, eta=0.05, rate=0.2, seed=1)
         assert not cb.identity_binning
         assert cb.bins.max() < cb.num_bins
 
     def test_determinism(self):
-        kw = dict(n=6, eta=0.05, rate=0.5, mutual_info_uw=math.log(2), u_size=2)
-        a = build_codebook(Pmf([0.3, 0.7]), seed=7, **kw)
-        b = build_codebook(Pmf([0.3, 0.7]), seed=7, **kw)
+        kw = dict(n=6, eta=0.05, rate=0.5)
+        a = build_codebook(np.diag([0.3, 0.7]), seed=7, **kw)
+        b = build_codebook(np.diag([0.3, 0.7]), seed=7, **kw)
         np.testing.assert_array_equal(a.codewords, b.codewords)
         np.testing.assert_array_equal(a.bins, b.bins)
 
     def test_size_cap(self):
         with pytest.raises(CodebookSizeError):
-            build_codebook(Pmf([0.5, 0.5]), n=100, eta=0.05, rate=1.0, seed=0,
-                           mutual_info_uw=math.log(2), u_size=2)
+            build_codebook(COPY_UW, n=100, eta=0.05, rate=1.0, seed=0)
 
     def test_size_cap_is_the_module_constant(self, monkeypatch):
         # exp(4 (log 2 + 0.05)) is about 19.5 codewords
-        kw = dict(n=4, eta=0.05, rate=1.0, seed=0, mutual_info_uw=math.log(2), u_size=2)
-        assert build_codebook(Pmf([0.5, 0.5]), **kw).size == 20
+        kw = dict(n=4, eta=0.05, rate=1.0, seed=0)
+        assert build_codebook(COPY_UW, **kw).size == 20
         monkeypatch.setattr(schemes, "MAX_CODEWORDS", 19)
         with pytest.raises(CodebookSizeError, match="cap 19"):
-            build_codebook(Pmf([0.5, 0.5]), **kw)
+            build_codebook(COPY_UW, **kw)
+
+
+class TestCodebookLaw:
+    """Everything the likelihood scheme reads of its test channel comes from
+    the codebook's (U, W) joint."""
+
+    @staticmethod
+    def random_joint(rng) -> np.ndarray:
+        """A random (U, W) joint with one W column of zero mass."""
+        nu, nw = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        p_uw = rng.dirichlet(np.ones(nu * nw)).reshape(nu, nw)
+        p_uw[:, rng.integers(nw)] = 0.0
+        return p_uw / p_uw.sum()
+
+    def test_derived_laws_match_numpy(self):
+        rng = np.random.default_rng(MASTER_SEED + 42)
+        for _ in range(20):
+            p_uw = self.random_joint(rng)
+            nu, nw = p_uw.shape
+            cb = toy_codebook(np.zeros((1, 3)), p_uw=p_uw)
+            p_w = np.array([sum(p_uw[u, w] for u in range(nu)) for w in range(nw)])
+            p_u = np.array([sum(p_uw[u, w] for w in range(nw)) for u in range(nu)])
+            np.testing.assert_allclose(cb.p_w.probs, p_w, rtol=0, atol=1e-15)
+            assert cb.u_size == nu
+            i_uw = sum(p_uw[u, w] * math.log(p_uw[u, w] / (p_u[u] * p_w[w]))
+                       for u in range(nu) for w in range(nw) if p_uw[u, w] > 0)
+            assert cb.mutual_info_uw == pytest.approx(i_uw, rel=1e-12, abs=1e-15)
+            live = p_w > 0
+            assert live.sum() == nw - 1
+            np.testing.assert_allclose(cb.log_u_given_w[live],
+                                       np.log(p_uw[:, live] / p_w[live]).T, rtol=1e-13)
+            # the row of the W letter of zero mass is never indexed
+            assert not np.isfinite(cb.log_u_given_w[~live]).any()
+
+    def test_no_codeword_holds_a_letter_of_zero_mass(self):
+        rng = np.random.default_rng(MASTER_SEED + 43)
+        for _ in range(10):
+            p_uw = self.random_joint(rng)
+            cb = build_codebook(p_uw, n=4, eta=0.05, rate=1.0, seed=int(rng.integers(100)))
+            assert set(np.unique(cb.codewords)) <= set(np.flatnonzero(p_uw.sum(axis=0) > 0))
+            _, probs = likelihood_law(cb, delta_prime=1.0).pairs(
+                rng.integers(0, p_uw.shape[0], size=(30, 4)))
+            assert np.isfinite(probs).all()
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p_uw", [[0.5, 0.5], np.full((2, 2), 0.3),
+                                      [[0.6, -0.1], [0.3, 0.2]]],
+                             ids=["one_axis", "mass_1.2", "negative"])
+    def test_rejects_a_joint_that_is_no_pmf(self, p_uw):
+        with pytest.raises(ValueError):
+            toy_codebook(np.zeros((1, 3)), p_uw=p_uw)
+
+    @pytest.mark.parametrize("w_channel", [None, Channel([[0.9, 0.1], [0.1, 0.9]]),
+                                           Channel([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])],
+                             ids=["copy", "bsc", "ternary"])
+    def test_make_scheme_codebook_is_build_codebook(self, w_channel):
+        pair = instances.example1_pair(0.2, 0.0)
+        cfg = SchemeConfig(scheme="likelihood", delta=0.3, rate_nats=0.8, w_channel=w_channel)
+        cb = make_scheme(cfg, pair, 6, seed=4).codebook
+        rows = np.eye(2) if w_channel is None else w_channel.rows
+        p_u = pair.uv_law(0).sum(axis=1)
+        want = build_codebook(p_u[:, None] * rows, 6, cfg.eta, cfg.rate_nats, seed=4)
+        for field in ("n", "num_bins", "identity_binning"):
+            assert getattr(cb, field) == getattr(want, field)
+        for field in ("p_uw", "codewords", "bins"):
+            np.testing.assert_array_equal(getattr(cb, field), getattr(want, field))
+
+    def test_typicality_schemes_have_no_codebook(self):
+        pair = instances.counterexample_pair()
+        for cfg in (SchemeConfig(scheme="zero_rate"),
+                    SchemeConfig(scheme="timeshare", epsilon_star=0.25)):
+            assert make_scheme(cfg, pair, 4, seed=0).codebook is None
 
 
 class TestLikelihoodEncode:
     def test_single_codeword_always_selected(self):
-        cb = toy_codebook([[0, 1]])
-        chan = Channel([[0.8, 0.2], [0.2, 0.8]])
+        cb = toy_codebook([[0, 1]], p_uw=uw_joint([[0.8, 0.2], [0.2, 0.8]]))
         u = SequenceSample([0, 1], 2)
-        label = likelihood_encode(cb, u, chan, delta_prime=0.5, seed=3)
+        label = likelihood_encode(cb, u, delta_prime=0.5, seed=3)
         assert label != "error"
         assert label[3] == 0
 
     def test_zero_likelihood_codeword_excluded(self):
-        cb = toy_codebook([[0, 0], [1, 1]])
-        chan = Channel([[1.0, 0.0], [0.0, 1.0]])  # P(u|w) = 1(u = w)
+        cb = toy_codebook([[0, 0], [1, 1]], p_uw=uw_joint(np.eye(2)))  # P(u|w) = 1(u = w)
         u = SequenceSample([1, 1], 2)
         for seed in range(5):
-            label = likelihood_encode(cb, u, chan, delta_prime=1.0, seed=seed)
+            label = likelihood_encode(cb, u, delta_prime=1.0, seed=seed)
             # codeword 0 has zero likelihood; joint type of (u, w(1)) is all-(1,1)
             assert label[:2] == ("type", (0, 0, 0, 2))
 
     def test_atypical_input_gives_error_message(self):
-        cb = toy_codebook([[0, 1], [1, 0]])
-        chan = Channel([[0.8, 0.2], [0.2, 0.8]])
+        cb = toy_codebook([[0, 1], [1, 0]], p_uw=uw_joint([[0.8, 0.2], [0.2, 0.8]]))
         u = SequenceSample([1, 1], 2)  # freq (0, 1) vs p_u = (0.5, 0.5)
-        assert likelihood_encode(cb, u, chan, delta_prime=0.1, seed=0) == "error"
+        assert likelihood_encode(cb, u, delta_prime=0.1, seed=0) == "error"
 
     def test_selection_probabilities_match_hand_products(self):
         # two codewords, hand-computed likelihood products
-        cb = toy_codebook([[0, 0], [0, 1]])
-        chan = Channel([[0.8, 0.2], [0.4, 0.6]])
+        cb = toy_codebook([[0, 0], [0, 1]], p_uw=uw_joint([[0.8, 0.2], [0.4, 0.6]]))
         u = SequenceSample([0, 1], 2)
         lik = np.array([0.8 * 0.2, 0.8 * 0.6])
-        _, probs = likelihood_law(cb, chan, delta_prime=0.6).pairs(u.symbols[None, :])
+        _, probs = likelihood_law(cb, delta_prime=0.6).pairs(u.symbols[None, :])
         np.testing.assert_allclose(probs[0], lik / lik.sum(), rtol=1e-12)
         probs = probs[0]
         # empirical selection frequency over seeds follows those probabilities
         picks = []
         for seed in range(4000):
-            _, counts, _, _ = likelihood_encode(cb, u, chan, delta_prime=0.6, seed=seed)
+            _, counts, _, _ = likelihood_encode(cb, u, delta_prime=0.6, seed=seed)
             picks.append(1 if counts[1 * 2 + 1] == 1 else 0)   # cell (u, w) = (1, 1)
         freq = np.mean(picks)
         sigma = math.sqrt(probs[1] * (1 - probs[1]) / 4000)
@@ -144,11 +218,11 @@ class TestLikelihoodEncode:
     def test_degenerate_encoder_sends_error_message(self):
         # every codeword has zero likelihood: the encoder and its law both
         # send the error message
-        cb = toy_codebook([[0, 0], [0, 0]])
-        chan = Channel([[0.0, 1.0], [0.5, 0.5]])  # u=0 impossible under w=0
+        # u=0 impossible under w=0
+        cb = toy_codebook([[0, 0], [0, 0]], p_uw=uw_joint([[0.0, 1.0], [0.5, 0.5]]))
         u = SequenceSample([0, 0], 2)
-        assert likelihood_encode(cb, u, chan, delta_prime=1.0, seed=0) == "error"
-        assert sent(likelihood_law(cb, chan, delta_prime=1.0), [0, 0]) == {"error": 1.0}
+        assert likelihood_encode(cb, u, delta_prime=1.0, seed=0) == "error"
+        assert sent(likelihood_law(cb, delta_prime=1.0), [0, 0]) == {"error": 1.0}
 
 
 def loop_min_entropy_decode(cb, b, v, nv, delta_hat):
@@ -219,9 +293,9 @@ class TestMinEntropyDecode:
             identity = case % 10 == 0
             bins = np.arange(len(cw)) if identity else rng.integers(0, num_bins, size=len(cw))
             p_w = rng.dirichlet(np.ones(nw))
-            cb = Codebook(n=n, p_w=Pmf(p_w), codewords=cw, bins=bins,
+            cb = Codebook(n=n, p_uw=0.5 * np.stack([p_w, p_w]), codewords=cw, bins=bins,
                           num_bins=len(cw) if identity else num_bins,
-                          identity_binning=identity, u_size=2)
+                          identity_binning=identity)
             delta_hat = float(rng.choice([0.0, 0.15, 0.3, 1.0]))
             qbins = rng.integers(0, cb.num_bins, size=20)
             vblocks = rng.integers(0, nv, size=(20, n))
@@ -238,43 +312,38 @@ class TestMinEntropyDecode:
         assert seen == {"identity", "fail", "ok", "empty_bin", "atypical"}
 
 
-def random_likelihood_setup(rng, n, nu, nw) -> LikelihoodSetup:
+def random_likelihood_codebook(rng, n, nu, nw) -> Codebook:
     """A random codebook over |W| letters (identity binning one time in four)
-    with random P(U|W), P_UW and P_WV (|V| = 2)."""
+    for a random (U, W) joint."""
     size = int(rng.integers(1, 9))
     identity = rng.random() < 0.25
     bins = np.arange(size) if identity else rng.integers(0, 3, size=size)
-    cb = Codebook(n=n, p_w=Pmf(rng.dirichlet(np.ones(nw))),
-                  codewords=rng.integers(0, nw, size=(size, n)), bins=bins,
-                  num_bins=size if identity else 3, identity_binning=identity,
-                  u_size=nu)
-    return LikelihoodSetup(cb, Channel(rng.dirichlet(np.ones(nu), size=nw)),
-                           rng.dirichlet(np.ones(nu * nw)).reshape(nu, nw),
-                           rng.dirichlet(np.ones(nw * 2)).reshape(nw, 2))
+    return Codebook(n=n, p_uw=rng.dirichlet(np.ones(nu * nw)).reshape(nu, nw),
+                    codewords=rng.integers(0, nw, size=(size, n)), bins=bins,
+                    num_bins=size if identity else 3, identity_binning=identity)
 
 
-def loop_accepts(setup, delta, code, v) -> tuple[bool, bool]:
+def loop_accepts(cb, p_wv, delta, code, v) -> tuple[bool, bool]:
     """(declared-type gate, detector decision) of one message, one step at a
     time: the code's base-(n+1) digits are the joint-type counts."""
-    cb = setup.codebook
-    n, nv = cb.n, setup.p_wv.shape[1]
+    n, nv = cb.n, p_wv.shape[1]
     if code == 0:
         return False, False
     t, b = divmod(int(code) - 1, cb.num_bins)
     counts = []
-    for _ in range(setup.p_uw.size):
+    for _ in range(cb.p_uw.size):
         t, c = divmod(t, n + 1)
         counts.insert(0, c)
-    gate = np.abs(np.array(counts) / n - setup.p_uw.ravel()).max() <= delta + 1e-15
+    gate = np.abs(np.array(counts) / n - cb.p_uw.ravel()).max() <= delta + 1e-15
     if not gate:
         return False, False
     j = loop_min_entropy_decode(cb, b, v, nv, cb.u_size * delta)
     if j < 0:
         return True, False
-    joint = np.zeros(setup.p_wv.shape)
+    joint = np.zeros(p_wv.shape)
     for w_i, v_i in zip(cb.codewords[j], v):
         joint[w_i, v_i] += 1
-    return True, bool(np.abs(joint / n - setup.p_wv).max() <= 2 * delta + 1e-15)
+    return True, bool(np.abs(joint / n - p_wv).max() <= 2 * delta + 1e-15)
 
 
 class TestTypeCoding:
@@ -286,9 +355,8 @@ class TestTypeCoding:
         sent_codes = 0
         for _ in range(60):
             n, nu, nw = int(rng.integers(1, 8)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            setup = random_likelihood_setup(rng, n, nu, nw)
-            cb = setup.codebook
-            law = likelihood_law(cb, setup.reverse_channel, delta_prime=1.0)
+            cb = random_likelihood_codebook(rng, n, nu, nw)
+            law = likelihood_law(cb, delta_prime=1.0)
             ublocks = rng.integers(0, nu, size=(10, n))
             codes, probs = law.pairs(ublocks)
             for u, row_codes, row_probs in zip(ublocks, codes, probs):
@@ -301,27 +369,27 @@ class TestTypeCoding:
     def test_code_range_is_checked(self):
         cb = toy_codebook(np.zeros((1, 30), dtype=int), bins=[0])
         # (30 + 1)^4 types fit; |U| = 12 letters give 31^24 >= 2^62
-        likelihood_law(cb, Channel([[0.5, 0.5], [0.5, 0.5]]), delta_prime=0.1)
-        wide = toy_codebook(np.zeros((1, 30), dtype=int), bins=[0], u_size=12)
+        likelihood_law(cb, delta_prime=0.1)
+        wide = toy_codebook(np.zeros((1, 30), dtype=int), bins=[0], p_uw=np.full((12, 2), 1 / 24))
         with pytest.raises(CodebookSizeError):
-            likelihood_law(wide, Channel(np.full((2, 12), 1 / 12)), delta_prime=0.1)
+            likelihood_law(wide, delta_prime=0.1)
 
     def test_gate_matches_per_message_loop(self):
         rng = np.random.default_rng(MASTER_SEED + 61)
         outcomes = set()
         for _ in range(40):
             n, nu, nw = int(rng.integers(1, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            setup = random_likelihood_setup(rng, n, nu, nw)
-            cb = setup.codebook
+            cb = random_likelihood_codebook(rng, n, nu, nw)
+            p_wv = rng.dirichlet(np.ones(nw * 2)).reshape(nw, 2)
             delta = float(rng.choice([0.0, 0.2, 0.4, 1.0]))
-            scheme = likelihood_scheme(setup, SchemeConfig(scheme="likelihood", delta=delta))
+            scheme = likelihood_scheme(cb, p_wv, SchemeConfig(scheme="likelihood", delta=delta))
             # codes the encoder sends, and arbitrary codes over the whole range
             drawn = sample_codes(scheme.law, rng.integers(0, nu, size=(15, n)), rng.random(15))
             anywhere = rng.integers(0, (n + 1) ** (nu * nw) * cb.num_bins + 1, size=15)
             codes = np.concatenate([drawn, anywhere])
             vblocks = rng.integers(0, 2, size=(len(codes), n))
             got = scheme.accepts(codes, vblocks)
-            want = [loop_accepts(setup, delta, c, v) for c, v in zip(codes, vblocks)]
+            want = [loop_accepts(cb, p_wv, delta, c, v) for c, v in zip(codes, vblocks)]
             assert got.tolist() == [decision for _, decision in want]
             outcomes.update(want)
         assert outcomes == {(False, False), (True, False), (True, True)}
@@ -335,9 +403,8 @@ class TestDetect:
     ANTI = np.array([[0.0, 0.5], [0.5, 0.0]])
 
     def scheme(self, codeword, p_uw, delta):
-        cb = toy_codebook([codeword], bins=[0], identity=True)
-        setup = LikelihoodSetup(cb, Channel(np.eye(2)), p_uw, self.P_WV)
-        return likelihood_scheme(setup, SchemeConfig(scheme="likelihood", delta=delta))
+        cb = toy_codebook([codeword], bins=[0], p_uw=p_uw, identity=True)
+        return likelihood_scheme(cb, self.P_WV, SchemeConfig(scheme="likelihood", delta=delta))
 
     @staticmethod
     def accepts(scheme, code, vblock) -> bool:
@@ -577,7 +644,7 @@ class TestTimeshareContainment:
         n, delta = 4, 0.2
         p_u = pair.p.marginal_pmf("U")
         p_uv = pair.p.marginal(("U", "V")).probs
-        useqs = adversary.all_sequences(2, n)
+        useqs = all_sequences(2, n)
 
         def accepts(label, vblock):
             if label == "error":
