@@ -194,6 +194,8 @@ class CouplingSolution:
     # floor): "converged", "empty_slice", "certificate" or "sweep_cap"; only
     # "sweep_cap" leaves an infinite objective unproven
     stop: str
+    sweeps: int = 0                  # I-projection sweeps summed over the solve
+    steps: int = 0                   # majorize-minimize steps (0 without an active floor)
 
 
 _RESIDUAL_TOL = 1e-11   # worst marginal residual of a feasible answer
@@ -238,7 +240,7 @@ def _broadcast_constraints(ref: np.ndarray, constraints) -> list:
             raise ValueError(f"constraint on axes {axes} has shape {tgt.shape}, "
                              f"not the reference sizes {sizes}")
         s = float(tgt.sum())
-        if abs(s - 1.0) > 1e-9:
+        if not abs(s - 1.0) <= 1e-9:   # NaN mass too
             raise InfeasibleConstraintsError(f"constraint on axes {axes} sums to {s}")
         if tgt.min() < -1e-12:
             raise InfeasibleConstraintsError(f"constraint on axes {axes} has negative mass")
@@ -277,8 +279,54 @@ def _certifies(support: np.ndarray, cons, windows) -> bool:
     return gain - float(total.max(where=support, initial=-np.inf)) > _FARKAS_TOL * scale
 
 
-def _ipf(base: np.ndarray, cons) -> tuple[np.ndarray, float, str]:
-    """Cyclic I-projection of ``base`` onto broadcast marginal constraints.
+class _Plan:
+    """The checked constraints of one solve, laid out so that an I-projection
+    sweep allocates nothing.
+
+    Per constraint it holds the summed axes, the broadcast target and views
+    of the same shape into one flat buffer each for the marginal, the
+    deviation from the target, the positivity mask, the ratio and the
+    scaling window.  :func:`solve_coupling` builds one and every
+    majorize-minimize step reuses it; ``sweeps`` counts the sweeps run on it.
+
+    Raises ValueError when there is no constraint or the reference is not a
+    pmf (finite, nonnegative, of mass 1 within 1e-9), and whatever
+    :func:`_broadcast_constraints` raises.
+    """
+
+    def __init__(self, reference, constraints):
+        ref = np.asarray(reference, dtype=float)
+        if len(constraints) == 0:
+            raise ValueError("a coupling problem needs at least one marginal constraint")
+        # a NaN or infinite cell makes the mass NaN or infinite
+        mass = float(ref.sum())
+        if not (abs(mass - 1.0) <= 1e-9 and ref.min() >= 0):
+            raise ValueError(f"the reference is not a pmf: mass {mass}, least cell "
+                             f"{ref.min(initial=math.inf)}")
+        self.ref, self.cons, self.sweeps = ref, _broadcast_constraints(ref, constraints), 0
+        ends = np.cumsum([tgt.size for _, tgt in self.cons])
+        cur, self.dev, self.ratio, self.window = (np.empty(ends[-1]) for _ in range(4))
+        pos = np.empty(ends[-1], dtype=bool)
+
+        def views(buf):
+            return [part.reshape(tgt.shape)
+                    for part, (_, tgt) in zip(np.split(buf, ends[:-1]), self.cons)]
+
+        self.windows = views(self.window)
+        self.slots = [(tuple(i for i in range(ref.ndim) if i not in axes), tgt, *bufs)
+                      for (axes, tgt), *bufs in zip(self.cons, views(cur), views(self.dev),
+                                                    views(pos), views(self.ratio))]
+
+    def measure(self, x: np.ndarray) -> None:
+        """Each marginal of ``x`` into its marginal buffer, and its deviation
+        from the target into ``dev``."""
+        for drop, tgt, cur, dev, _, _ in self.slots:
+            np.add.reduce(x, axis=drop, keepdims=True, out=cur)
+            np.subtract(cur, tgt, out=dev)
+
+
+def _ipf(base: np.ndarray, plan: _Plan) -> tuple[np.ndarray, float, str]:
+    """Cyclic I-projection of ``base`` onto the constraints of ``plan``.
 
     Multiplicative per-block rescaling; the limit is the KL projection of
     ``base`` onto the intersection when it is nonempty within supp(base).
@@ -293,38 +341,50 @@ def _ipf(base: np.ndarray, cons) -> tuple[np.ndarray, float, str]:
     tested as a Farkas certificate (:func:`_certifies`, "certificate"); on an
     empty intersection the log-scalings grow along such a ray.  The windows
     never touch the point, so a feasible projection is the same with or
-    without them.  Returns (point, worst final residual, stop reason).
+    without them.
+
+    A sweep writes every marginal, deviation, mask and ratio into the plan's
+    buffers, so it allocates nothing.  Per constraint it makes the calls of
+    ``cur = x.sum(drop, keepdims=True)``, ``np.divide(tgt, cur, where=cur >
+    0)`` and ``x *= ratio``, in constraint order, so the point is bit for
+    bit the one such a loop gives.  Adds the sweeps run to ``plan.sweeps``.
+    Returns (point, worst final residual, stop reason).
     """
-    x, windows, check = base.copy(), None, 2 * _WINDOW_START
-    stop = "sweep_cap"
+    x, check, stop = base.copy(), 2 * _WINDOW_START, "sweep_cap"
+    reduce, subtract, greater, divide, multiply = (
+        np.add.reduce, np.subtract, np.greater, np.divide, np.multiply)
+    slots, dev, ratio, window = plan.slots, plan.dev, plan.ratio, plan.window
     for sweep in range(_MAX_SWEEPS):
-        if sweep == _WINDOW_START:
-            windows = [np.ones_like(tgt) for _, tgt in cons]
-        worst = 0.0
-        for k, (axes, tgt) in enumerate(cons):
-            cur = _sum_to(x, axes)
-            worst = max(worst, float(np.abs(cur - tgt).max()))
-            ratio = np.divide(tgt, cur, out=np.zeros_like(tgt), where=cur > 0)
-            x *= ratio
-            if windows is not None:
-                windows[k] *= ratio
-        if worst < _IPF_TOL:
+        ratio.fill(0.0)
+        for drop, tgt, cur, d, pos, r in slots:
+            reduce(x, drop, None, cur, True)   # x.sum(drop, keepdims=True), into cur
+            subtract(cur, tgt, d)
+            greater(cur, 0.0, pos)
+            divide(tgt, cur, r, where=pos)
+            multiply(x, r, x)
+        if sweep >= _WINDOW_START:
+            if sweep == _WINDOW_START:
+                window.fill(1.0)
+            multiply(window, ratio, window)
+        if np.maximum.reduce(np.abs(dev, dev)) < _IPF_TOL:
             stop = "converged"
             break
         # checked once: in every sweep it would slow the long support solves
-        if sweep == 0 and any(np.any((tgt > _RESIDUAL_TOL) & (_sum_to(x, axes) == 0))
-                              for axes, tgt in cons):
-            stop = "empty_slice"
-            break
+        if sweep == 0:
+            plan.measure(x)
+            if any(np.any((tgt > _RESIDUAL_TOL) & (cur == 0)) for _, tgt, cur, *_ in slots):
+                stop = "empty_slice"
+                break
         if sweep + 1 == check:
-            if _certifies(base > 0, cons, windows):
+            if _certifies(base > 0, plan.cons, plan.windows):
                 stop = "certificate"
                 break
             check *= 2
-            for win in windows:
-                win.fill(1.0)
+            window.fill(1.0)
+    plan.sweeps += sweep + 1
     # final residual after the last rescale
-    return x, max(float(np.abs(_sum_to(x, axes) - tgt).max()) for axes, tgt in cons), stop
+    plan.measure(x)
+    return x, float(np.abs(dev).max()), stop
 
 
 def _grad_neg_cond_entropy(x: np.ndarray, target, given) -> np.ndarray:
@@ -338,12 +398,15 @@ def _grad_neg_cond_entropy(x: np.ndarray, target, given) -> np.ndarray:
 def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     """Solve the constrained KL minimization.
 
-    Each marginal target is checked once and reshaped to broadcast over the
-    reference; a target whose mass differs from the first one's by more than
-    1e-14 is rescaled to it, and the residual is measured against the
-    rescaled targets.  With marginal constraints only the answer is the cyclic
-    I-projection of the reference, which converges geometrically and lands
-    on the constraint set.
+    The reference and each marginal target are checked once, and the
+    targets are reshaped to broadcast over the reference, in one
+    :class:`_Plan` that every I-projection of the solve reuses; a target
+    whose mass differs from the first one's by more than 1e-14 is rescaled
+    to it, and the residual is measured against the rescaled targets.  With
+    marginal constraints only the answer is the cyclic I-projection of the
+    reference, which converges geometrically and lands on the constraint
+    set.  ``sweeps`` on the solution counts the sweeps of every
+    I-projection of the solve, and ``steps`` its majorize-minimize steps.
 
     An entropy floor that the I-projection misses is active.  For a
     multiplier t >= 0 the Lagrangian KL(x || ref) - t H(target|given) is
@@ -370,40 +433,44 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     grow along such a ray, and the solve stops as soon as a window of them
     gives g > 1e-9 max |phi|.  When 220000 sweeps run out instead, +inf is
     read off a residual above 1e-11 and is unproven; ``stop`` tells these
-    apart.  Mutually
-    inconsistent targets raise :class:`InfeasibleConstraintsError`; a
-    repeated or out-of-range axis, or a target of the wrong shape, raises
+    apart.  Mutually inconsistent targets, or one that is not a pmf, raise
+    :class:`InfeasibleConstraintsError`; no constraint at all, a reference
+    that is not a pmf (finite, nonnegative, of mass 1 within 1e-9), a
+    repeated or out-of-range axis, or a target of the wrong shape raises
     ValueError.
     """
-    ref = np.asarray(problem.reference, dtype=float)
-    cons = _broadcast_constraints(ref, problem.marginal_constraints)
+    plan = _Plan(problem.reference, problem.marginal_constraints)
+    ref = plan.ref
 
-    x, res, stop = _ipf(ref, cons)
+    x, res, stop = _ipf(ref, plan)
     # an empty slice always leaves a residual above the tolerance
     if stop == "certificate" or res > _RESIDUAL_TOL:
-        return CouplingSolution(math.inf, None, res, 0.0, 0.0, stop)
+        return CouplingSolution(math.inf, None, res, 0.0, 0.0, stop, plan.sweeps)
 
     if problem.entropy_floor is None:
-        return CouplingSolution(kl_of_arrays(x, ref), x, res, 0.0, 0.0, stop)
+        return CouplingSolution(kl_of_arrays(x, ref), x, res, 0.0, 0.0, stop, plan.sweeps)
 
     target, given, floor = problem.entropy_floor
     target, given = tuple(target), tuple(given)
     h = cond_entropy_of_array(x, target, given)
     if h >= floor - _INACTIVE_TOL:
-        return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, 0.0, stop)
+        return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, 0.0, stop, plan.sweeps)
 
     sup = ref > 0
     logref = np.where(sup, np.log(np.where(sup, ref, 1.0)), -np.inf)
+    steps = 0
 
     def solve(t: float, x: np.ndarray):
         # majorize-minimize steps for KL(x || ref) - t H(target|given)
+        nonlocal steps
         for _ in range(_MAX_STEPS):
+            steps += 1
             with np.errstate(divide="ignore"):
                 logx = np.log(x)
             logbase = (logref + t * (logx - _grad_neg_cond_entropy(x, target, given))) / (1 + t)
             ok = np.isfinite(logbase)
             base = np.where(ok, np.exp(np.where(ok, logbase, 0.0) - logbase[ok].max()), 0.0)
-            xn, res, stop = _ipf(base, cons)
+            xn, res, stop = _ipf(base, plan)
             moved = float(np.abs(xn - x).max())
             x = xn
             if moved <= _STEP_TOL:
@@ -425,7 +492,8 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
             hi, x_hi, res_hi, stop_hi, h_hi = mid, xm, rm, sm, hm
         else:
             lo = mid
-    return CouplingSolution(kl_of_arrays(x_hi, ref), x_hi, res_hi, h_hi - floor, hi, stop_hi)
+    return CouplingSolution(kl_of_arrays(x_hi, ref), x_hi, res_hi, h_hi - floor, hi, stop_hi,
+                            plan.sweeps, steps)
 
 
 # ---------------------------------------------------------------------------

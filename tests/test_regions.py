@@ -1,8 +1,10 @@
 """Trade-off evaluators: analytic identities, grid-oracle cross-checks,
 and optimizer certificates."""
 
+import hashlib
 import itertools
 import math
+import os
 import re
 import time
 
@@ -24,6 +26,7 @@ from htpriv.probcore import (
 )
 from htpriv.regions import (
     CouplingProblem,
+    CouplingSolution,
     FrontierConfig,
     HypothesisPair,
     InfeasibleConstraintsError,
@@ -40,9 +43,10 @@ from htpriv.regions import (
     theorem1_point,
     theorem2_point,
     zero_rate_exponent,
+    zero_rate_exponent_solution,
     zero_rate_privacy,
 )
-from htpriv.regions import _broadcast_constraints, _ipf
+from htpriv.regions import _Plan, _ipf
 
 from conftest import MASTER_SEED, random_channel, random_joint, random_pmf, random_suv_joint
 
@@ -592,9 +596,9 @@ class TestOptimizerCertificates:
     @staticmethod
     def restarted(problem, x0) -> float:
         """KL to the reference of the I-projection started from ``x0``."""
-        ref = problem.reference
-        x, _, _ = _ipf(x0, _broadcast_constraints(ref, problem.marginal_constraints))
-        return kl_of_arrays(x, ref)
+        plan = _Plan(problem.reference, problem.marginal_constraints)
+        x, _, _ = _ipf(x0, plan)
+        return kl_of_arrays(x, plan.ref)
 
     def test_restart_agreement(self):
         # convex programs: multiplicative-family restarts land on the same value
@@ -662,11 +666,14 @@ class TestInfeasibilityCertificate:
     # the one coupling with these marginals lies on the support boundary
     BOUNDARY = ([[0.4, 0.3], [0.3, 0.0]], [0.5, 0.5], [0.5, 0.5])
 
-    @pytest.mark.parametrize("problem, stop", [
+    STOP_CASES = (
         (([[0.4, 0.1], [0.2, 0.3]], [0.3, 0.7], [0.6, 0.4]), "converged"),
         (([[0.5, 0.5], [0.0, 0.0]], [0.3, 0.7], [0.5, 0.5]), "empty_slice"),
         (DIAGONAL, "certificate"),
-    ], ids=["converged", "empty_slice", "certificate"])
+    )
+
+    @pytest.mark.parametrize("problem, stop", STOP_CASES,
+                             ids=["converged", "empty_slice", "certificate"])
     def test_stop_reason(self, problem, stop):
         start = time.perf_counter()
         sol = solve_coupling(two_marginals(*problem))
@@ -802,9 +809,58 @@ class TestEntropyFloorCertificates:
         assert sol.residual < 1e-9
 
 
+class TestSolverCounters:
+    """``sweeps`` sums the I-projection sweeps of a solve and ``steps`` counts
+    its majorize-minimize steps."""
+
+    def test_certificate_after_the_first_window(self):
+        sol = solve_coupling(two_marginals(*TestInfeasibilityCertificate.DIAGONAL))
+        assert (sol.stop, sol.sweeps, sol.steps) == ("certificate", 128, 0)
+
+    def test_sweep_cap_is_counted(self, monkeypatch):
+        monkeypatch.setattr("htpriv.regions._MAX_SWEEPS", 300)
+        sol = solve_coupling(two_marginals(*TestInfeasibilityCertificate.BOUNDARY))
+        assert (sol.stop, sol.sweeps, sol.steps) == ("sweep_cap", 300, 0)
+
+    def test_floor_active_solve_takes_steps(self):
+        _, sol = exponent_e2_solution(0.0, *_seed11_draws(5)[4])
+        assert sol.multiplier > 0
+        # the first projection, then at least one sweep per step
+        assert sol.steps > 0 and sol.sweeps > sol.steps
+
+    def test_positional_construction_keeps_working(self):
+        sol = CouplingSolution(math.inf, None, 0.3, 0.0, 0.0, "certificate")
+        assert (sol.sweeps, sol.steps) == (0, 0)
+
+
 class TestConstraintForm:
     """solve_coupling takes marginal constraints with axes in any order, and
     rejects malformed ones with a ValueError that names their axes."""
+
+    @pytest.mark.parametrize("reference", [
+        [[0.6, -0.1], [0.3, 0.2]],                 # a negative cell, mass 1
+        [[math.nan, 0.3], [0.3, 0.4]],             # a NaN cell
+        [[0.8, 0.6], [0.4, 0.2]],                  # mass 2
+        [[math.inf, 0.0], [0.0, 0.0]],             # an infinite cell
+    ], ids=["negative_cell", "nan_cell", "mass_two", "infinite_cell"])
+    def test_reference_that_is_not_a_pmf_is_value_error(self, reference):
+        problem = CouplingProblem(np.array(reference), (((0,), np.array([0.5, 0.5])),))
+        with pytest.raises(ValueError, match="reference is not a pmf"):
+            solve_coupling(problem)
+
+    def test_reference_within_the_pmf_tolerance_is_solved(self):
+        ref = np.array([[0.4, 0.1], [0.2, 0.3 + 5e-10]])
+        sol = solve_coupling(two_marginals(ref, [0.3, 0.7], [0.6, 0.4]))
+        assert sol.stop == "converged" and sol.residual < 1e-11
+
+    def test_no_marginal_constraint_is_value_error(self):
+        with pytest.raises(ValueError, match="at least one marginal constraint"):
+            solve_coupling(CouplingProblem(np.full((2, 2), 0.25), ()))
+
+    def test_nan_target_is_not_a_pmf(self):
+        problem = CouplingProblem(np.full((2, 2), 0.25), (((0,), np.array([math.nan, 0.5])),))
+        with pytest.raises(InfeasibleConstraintsError, match=r"axes \(0,\) sums to nan"):
+            solve_coupling(problem)
 
     @pytest.mark.parametrize("axes, target", [
         ((0,), np.array([0.2, 0.3, 0.5])),        # target longer than the axis
@@ -857,3 +913,83 @@ class TestConstraintForm:
         want = math.log(2.0) - entropy(np.array([0.3, 0.7]))
         assert sol.objective == pytest.approx(want, abs=1e-12)
         assert np.abs(sol.coupling.sum(axis=1) - [0.3, 0.7]).max() < 1e-12
+
+
+class TestCouplingDigest:
+    """One SHA-256 over the exact reprs of coupling solutions: E1 and E2 at
+    rate 0 on the shipped instances, the zero-rate exponents, the floor-active
+    draws 4 and 5 of seed 11, the stop-reason problems of
+    TestInfeasibilityCertificate and the boundary problem under a 3000-sweep
+    cap.  Any change to the solver that moves a bit fails here."""
+
+    SHA256 = "90016331d8990c5682d794ddc3fc0b176892402eb627e0903c63a37daad53f0b"
+    # a noisy channel, and for |U| = 4 one with zero entries as well
+    CHANNELS = {2: ([[0.9, 0.1], [0.2, 0.8]],),
+                4: ([[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.3, 0.7]],
+                    [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])}
+
+    @staticmethod
+    def fields(sol) -> list:
+        """The solution's reprs, its counters left out (None for no solve)."""
+        if sol is None:
+            return [None]
+        coupling = None if sol.coupling is None else sol.coupling.tobytes().hex()
+        return [sol.objective, sol.residual, sol.entropy_slack, sol.multiplier, sol.stop,
+                coupling]
+
+    def solutions(self, monkeypatch):
+        out = []
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for name in sorted(os.listdir(os.path.join(root, "instances"))):
+            pair = instances.load_instance(os.path.join(root, "instances", name))
+            for rows in self.CHANNELS[pair.u_size()]:
+                chan = Channel(rows)
+                out.append(exponent_e1_solution(pair, chan))
+                out.append(exponent_e2_solution(0.0, pair, chan)[1])
+            p_uv = pair.p.marginal(("U",) + pair.v_axes).probs.reshape(pair.u_size(), -1)
+            q_uv = pair.q.marginal(("U",) + pair.v_axes).probs.reshape(p_uv.shape)
+            out.append(zero_rate_exponent_solution(
+                Pmf(p_uv.sum(axis=1)), Pmf(p_uv.sum(axis=0)),
+                JointPmf((("U", p_uv.shape[0]), ("V", p_uv.shape[1])), q_uv)))
+        draws = _seed11_draws(6)
+        out += [exponent_e2_solution(0.0, *draws[i])[1] for i in (4, 5)]
+        out += [solve_coupling(two_marginals(*problem)) for problem, _ in
+                TestInfeasibilityCertificate.STOP_CASES]
+        monkeypatch.setattr("htpriv.regions._MAX_SWEEPS", 3000)
+        out.append(solve_coupling(two_marginals(*TestInfeasibilityCertificate.BOUNDARY)))
+        return out
+
+    @staticmethod
+    def plain_ipf(base, cons):
+        """The I-projection as a plain loop that allocates its marginals and
+        ratios; returns (point, sweeps) once a sweep starts within 1e-14."""
+        x = base.copy()
+        for sweep in range(1, 10_000):
+            worst = 0.0
+            for axes, tgt in cons:
+                cur = x.sum(axis=tuple(i for i in range(x.ndim) if i not in axes), keepdims=True)
+                worst = max(worst, float(np.abs(cur - tgt).max()))
+                x *= np.divide(tgt, cur, out=np.zeros_like(tgt), where=cur > 0)
+            if worst < 1e-14:
+                return x, sweep
+        raise AssertionError("the plain loop did not converge")
+
+    def test_sweeps_equal_a_plain_loop(self):
+        rng = np.random.default_rng(MASTER_SEED + 27)
+        converged = 0
+        for _ in range(60):
+            ref, cons = TestInfeasibilityCertificate().random_problem(rng)
+            plan = _Plan(ref, cons)
+            x, _, stop = _ipf(ref, plan)
+            if stop != "converged":
+                continue
+            converged += 1
+            want, sweeps = self.plain_ipf(ref, plan.cons)
+            assert x.tobytes() == want.tobytes() and plan.sweeps == sweeps
+        assert converged >= 20
+
+    def test_solutions_are_bit_identical(self, monkeypatch):
+        start = time.perf_counter()
+        text = "\n".join(repr(self.fields(sol)) for sol in self.solutions(monkeypatch))
+        assert time.perf_counter() - start < 2.0
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256
