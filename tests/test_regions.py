@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from htpriv import instances, oracle
+from htpriv.adversary import counterexample_levels
 from htpriv.probcore import (
     Channel,
     JointPmf,
@@ -915,6 +916,12 @@ class TestConstraintForm:
         assert np.abs(sol.coupling.sum(axis=1) - [0.3, 0.7]).max() < 1e-12
 
 
+def shipped_pairs() -> list[HypothesisPair]:
+    """The hypothesis pairs of the shipped instance files, in file-name order."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "instances")
+    return [instances.load_instance(os.path.join(root, name)) for name in sorted(os.listdir(root))]
+
+
 class TestCouplingDigest:
     """One SHA-256 over the exact reprs of coupling solutions: E1 and E2 at
     rate 0 on the shipped instances, the zero-rate exponents, the floor-active
@@ -939,9 +946,7 @@ class TestCouplingDigest:
 
     def solutions(self, monkeypatch):
         out = []
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        for name in sorted(os.listdir(os.path.join(root, "instances"))):
-            pair = instances.load_instance(os.path.join(root, "instances", name))
+        for pair in shipped_pairs():
             for rows in self.CHANNELS[pair.u_size()]:
                 chan = Channel(rows)
                 out.append(exponent_e1_solution(pair, chan))
@@ -993,3 +998,27 @@ class TestCouplingDigest:
         text = "\n".join(repr(self.fields(sol)) for sol in self.solutions(monkeypatch))
         assert time.perf_counter() - start < 2.0
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256
+
+
+class TestTheoremDigest:
+    """One SHA-256 over the exact reprs of the single-letter outputs of a
+    hypothesis pair on the shipped instances: the theorem 1 and theorem 2
+    points with the TestCouplingDigest channels at four rates, the zero-rate
+    privacy levels, the counterexample levels and the bytes of both (U, V)
+    letter laws.  Any change that moves a bit of them fails here."""
+
+    SHA256 = "76841c64736272fbbf54d8626ca9548ece97d65791771fc56feed1ab26d3b11f"
+    RATES = (0.0, 0.05, 0.3, 1.0)
+
+    def test_outputs_are_bit_identical(self):
+        lines = []
+        for pair in shipped_pairs():
+            for rows, rate, point in itertools.product(
+                    TestCouplingDigest.CHANNELS[pair.u_size()], self.RATES,
+                    (theorem1_point, theorem2_point)):
+                pt = point(pair, Channel(rows), rate)
+                lines.append(repr([pt.rate, pt.exponent, pt.privacy0, pt.privacy1, pt.feasible]))
+            lines.append(repr(zero_rate_privacy(pair)))
+            lines.append(repr(counterexample_levels(pair)))
+            lines += [pair.uv_law(h).tobytes().hex() for h in (0, 1)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.SHA256
