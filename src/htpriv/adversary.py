@@ -33,7 +33,7 @@ from .probcore import (
     block_index,
     choice_cdf,
     choice_draws,
-    conditional_entropy,
+    cond_entropy_of_array,
     entropy_of_array,
     inverse_cdf,
 )
@@ -130,6 +130,7 @@ class PrivacyReport:
 class CounterexamplePoint:
     n: int
     alpha_exact: float
+    beta_exact: float
     equivocation_per_letter: float            # nats, under the null
     weak_converse_level: float                # H_P(S|U,V), nats
     no_message_level: float                   # H_P(S|V), nats
@@ -225,14 +226,13 @@ def likelihood_model(cb: Codebook, delta_prime: float) -> SchemeModel:
 
 def _letter_law(model: SchemeModel, pair: HypothesisPair, n: int,
                 hypothesis: int) -> np.ndarray:
-    """Per-letter joint over (S, U, V-flat) of one hypothesis, checked
-    against the blocks the model was built for."""
+    """The pair's (S, U, V-flat) letter law ``suv`` of one hypothesis, after
+    checking the blocks the model was built for."""
     if n != model.n:
         raise ValueError(f"n={n} but model was built for n={model.n}")
     if model.u_size != pair.u_size():
         raise ValueError(f"model alphabet {model.u_size} != |U| = {pair.u_size()}")
-    arr = pair.law(hypothesis).marginal(("S", "U") + pair.v_axes).probs
-    return arr.reshape(arr.shape[0], model.u_size, -1)
+    return pair.suv[hypothesis]
 
 
 def _contract(law: np.ndarray, letter: np.ndarray, n: int) -> np.ndarray:
@@ -460,8 +460,8 @@ def counterexample_levels(pair: HypothesisPair) -> tuple[float, float, bool]:
     in nats, and whether the counterexample's assumption H_P(S|U,V) <
     H_P(S|V) holds: the message must actually reveal something about the
     private letters for time sharing to buy equivocation."""
-    h_suv = conditional_entropy(pair.p, "S", ("U",) + pair.v_axes)
-    h_sv = conditional_entropy(pair.p, "S", pair.v_axes)
+    h_suv = cond_entropy_of_array(pair.suv[0], (0,), (1, 2))
+    h_sv = cond_entropy_of_array(pair.suv[0], (0,), (2,))
     return h_suv, h_sv, h_suv < h_sv - 1e-12
 
 
@@ -471,8 +471,8 @@ def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
     slack ``delta``.
 
     Requires an instance that meets ``counterexample_levels``'s assumption.
-    For each n, reports the exact type I error and the exact per-letter
-    equivocation under the null.
+    For each n, reports the exact type I and type II errors and the exact
+    per-letter equivocation under the null.
     """
     h_suv, h_sv, holds = counterexample_levels(pair)
     if not holds:
@@ -484,10 +484,10 @@ def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
     for n in n_list:
         scheme = make_scheme(config, pair, n, seed=0)
         model, codes = _law_table(scheme.law)
-        alpha, _ = _errors(scheme, model, codes, pair)
+        alpha, beta = _errors(scheme, model, codes, pair)
         eq = exact_equivocation(model, pair, n, 0) / n
         out.append(CounterexamplePoint(
-            n=n, alpha_exact=alpha, equivocation_per_letter=eq,
+            n=n, alpha_exact=alpha, beta_exact=beta, equivocation_per_letter=eq,
             weak_converse_level=h_suv, no_message_level=h_sv,
         ))
     return out

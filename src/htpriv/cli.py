@@ -341,8 +341,7 @@ def validate_instance(path: str) -> dict:
         diags["q_abs_cont_p"] = bool(np.all(p_arr[q_arr > 0] > 0))
     if diags["normalized"]:
         pair = instances.pair_from_record(rec)
-        diags["u_marginals_equal"] = pmf_close(pair.p.marginal_pmf("U"),
-                                               pair.q.marginal_pmf("U"))
+        diags["u_marginals_equal"] = pair.same_u_marginals()
         h_suv, h_sv, holds = adversary.counterexample_levels(pair)
         diags["h_p_s_given_uv_bits"] = h_suv / LN2
         diags["h_p_s_given_v_bits"] = h_sv / LN2

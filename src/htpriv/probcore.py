@@ -190,9 +190,6 @@ class Channel:
     def output_size(self) -> int:
         return int(self.rows.shape[1])
 
-    def row(self, i: int) -> Pmf:
-        return Pmf(self.rows[i])
-
 
 @dataclass(frozen=True)
 class SequenceSample:

@@ -13,7 +13,7 @@ feasibility and the objective independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .probcore import (
     conditional_mutual_information,
     kl_of_arrays,
     marginal_of_array,
-    mutual_information,
     pmf_close,
     star,
 )
@@ -75,12 +74,18 @@ class HypothesisPair:
     Both joints must share axes, which must include "S" and "U"; every other
     axis is treated as part of the detector observation V (so a pair over
     (S, U, Y, Z) models conditional-independence testing with V = (Y, Z)).
+
+    ``suv[h]`` is the law of hypothesis h laid out once as a read-only
+    (|S|, |U|, |V|) array, V flattened in declared axis order; the general
+    inner bound, the zero-rate and counterexample levels and the block
+    audits of ``adversary`` read it by axis position.
     """
 
     p: JointPmf
     q: JointPmf
     distortion: np.ndarray | None = None
     d_max: float | None = None
+    suv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p.axes != self.q.axes:
@@ -98,6 +103,10 @@ class HypothesisPair:
             d.flags.writeable = False
             object.__setattr__(self, "distortion", d)
             object.__setattr__(self, "d_max", dm)
+        suv = np.stack([law.marginal_array(("S", "U") + self.v_axes) for law in (self.p, self.q)])
+        suv = suv.reshape(2, self.p.axis_size("S"), self.u_size(), -1)
+        suv.flags.writeable = False
+        object.__setattr__(self, "suv", suv)
 
     @property
     def v_axes(self) -> tuple[str, ...]:
@@ -111,8 +120,11 @@ class HypothesisPair:
 
     def uv_law(self, hypothesis: int) -> np.ndarray:
         """Joint of (U, V-flat) under one hypothesis, shape (|U|, |V|)."""
-        order = ("U",) + self.v_axes
-        return self.law(hypothesis).marginal(order).probs.reshape(self.u_size(), -1)
+        return self.suv[hypothesis].sum(axis=0)
+
+    def same_u_marginals(self) -> bool:
+        """Whether P_U = Q_U within ``probcore.PMF_EQ_TOL``."""
+        return pmf_close(*self.suv.sum(axis=(1, 3)))
 
 
 def attach_channel(joint: JointPmf, channel: Channel) -> JointPmf:
@@ -500,32 +512,27 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
 # exponent terms of the general inner bound
 # ---------------------------------------------------------------------------
 
-def _coupling_frame(pair: HypothesisPair, w_channel: Channel):
-    """Reference measure and marginals on axes (U, V..., W) for both KL programs."""
-    v_axes = pair.v_axes
-    order = ("U",) + v_axes
-    p_uv = pair.p.marginal(order)
-    q_uv = pair.q.marginal(order)
+def _channel_rows(pair: HypothesisPair, w_channel: Channel) -> np.ndarray:
+    """The rows of an auxiliary channel from U, checked against |U| before
+    any product broadcasts them."""
     if w_channel.input_size != pair.u_size():
-        raise ValueError(
-            f"auxiliary channel input size {w_channel.input_size} != |U| = {pair.u_size()}"
-        )
-    p_joint = attach_channel(p_uv, w_channel)   # (U, V..., W)
-    ref = attach_channel(q_uv, w_channel).probs
-    nv = len(v_axes)
-    u_ax, w_ax = 0, 1 + nv
-    v_ax = tuple(range(1, 1 + nv))
-    return p_joint, ref, u_ax, v_ax, w_ax
+        raise ValueError(f"auxiliary channel input size {w_channel.input_size} "
+                         f"!= |U| = {pair.u_size()}")
+    return w_channel.rows
+
+
+def _coupling_frame(pair: HypothesisPair, w_channel: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """The (U, V, W) laws of the null and of the reference for both KL
+    programs: each hypothesis's (U, V) law, S summed out, through the channel."""
+    rows = _channel_rows(pair, w_channel)
+    return tuple(pair.uv_law(h)[:, :, None] * rows[:, None, :] for h in (0, 1))
 
 
 def exponent_e1_solution(pair: HypothesisPair, w_channel: Channel) -> CouplingSolution:
     """First exponent term: min KL against the alternate law tilted through the
     channel, over joint laws matching the (U, W) and (V, W) marginals of the null."""
-    p_joint, ref, u_ax, v_ax, w_ax = _coupling_frame(pair, w_channel)
-    cons = (
-        ((u_ax, w_ax), marginal_of_array(p_joint.probs, (u_ax, w_ax))),
-        (v_ax + (w_ax,), marginal_of_array(p_joint.probs, v_ax + (w_ax,))),
-    )
+    p_uvw, ref = _coupling_frame(pair, w_channel)
+    cons = tuple((axes, marginal_of_array(p_uvw, axes)) for axes in ((0, 2), (1, 2)))
     return solve_coupling(CouplingProblem(ref, cons))
 
 
@@ -539,21 +546,15 @@ def exponent_e2_solution(rate: float, pair: HypothesisPair,
     KL minimum over the relaxed set plus the rate penalty (rate - I_P(U;W|V))."""
     if rate < 0:
         raise ValueError("rate must be >= 0")
-    p_joint, ref, u_ax, v_ax, w_ax = _coupling_frame(pair, w_channel)
-    names = p_joint.names
-    i_uw = mutual_information(p_joint, "U", "W")
+    p_uvw, ref = _coupling_frame(pair, w_channel)
+    i_uw = cond_entropy_of_array(p_uvw, (0,), ()) - cond_entropy_of_array(p_uvw, (0,), (2,))
     if i_uw <= rate:
         return math.inf, None
-    v_names = tuple(names[a] for a in v_ax)
-    i_uw_given_v = conditional_mutual_information(p_joint, "U", "W", v_names)
-    floor = conditional_entropy(p_joint, "W", v_names)
-    cons = (
-        ((u_ax, w_ax), marginal_of_array(p_joint.probs, (u_ax, w_ax))),
-        (v_ax, marginal_of_array(p_joint.probs, v_ax)),
-    )
-    sol = solve_coupling(
-        CouplingProblem(ref, cons, entropy_floor=((w_ax,), v_ax, floor))
-    )
+    i_uw_given_v = (cond_entropy_of_array(p_uvw, (0,), (1,))
+                    - cond_entropy_of_array(p_uvw, (0,), (1, 2)))
+    floor = cond_entropy_of_array(p_uvw, (2,), (1,))
+    cons = tuple((axes, marginal_of_array(p_uvw, axes)) for axes in ((0, 2), (1,)))
+    sol = solve_coupling(CouplingProblem(ref, cons, entropy_floor=((2,), (1,), floor)))
     if math.isinf(sol.objective):
         return math.inf, sol
     return sol.objective + (rate - i_uw_given_v), sol
@@ -572,30 +573,30 @@ def kappa_star(rate: float, pair: HypothesisPair, w_channel: Channel) -> float:
 # achievable points (general inner bound)
 # ---------------------------------------------------------------------------
 
-def _privacy_level(joint: JointPmf, cond_axes: tuple[str, ...], pair: HypothesisPair,
+def _privacy_level(x: np.ndarray, cond: tuple[int, ...], pair: HypothesisPair,
                    kind: str) -> float:
-    """Single-letter privacy of S given ``cond_axes`` of ``joint``: the
-    equivocation H(S | cond_axes), or the Bayes distortion min over
-    deterministic estimators of E d(S, phi(cond_axes))."""
+    """Single-letter privacy of S, axis 0 of the law ``x``, given its axes
+    at positions ``cond``: the equivocation H(S | cond), or the Bayes
+    distortion min over deterministic estimators of E d(S, phi(cond))."""
     if kind == "equivocation":
-        return conditional_entropy(joint, "S", cond_axes)
+        return cond_entropy_of_array(x, (0,), cond)
     if pair.distortion is None:
         raise ValueError("HypothesisPair has no distortion table")
-    return bayes_decision(joint.marginal_array(("S",) + cond_axes), pair.distortion, 0)[1]
+    return bayes_decision(marginal_of_array(x, (0,) + cond), pair.distortion, 0)[1]
 
 
 def _theorem_point(pair: HypothesisPair, w_channel: Channel, rate: float,
                    kind: str) -> TradeoffPoint:
-    v_axes = pair.v_axes
-    p_joint = attach_channel(pair.p, w_channel)
-    q_joint = attach_channel(pair.q, w_channel)
-    needed = conditional_mutual_information(p_joint, "W", "U", v_axes)
+    rows = _channel_rows(pair, w_channel)
+    # (S, U, V, W) under each hypothesis
+    p_suvw, q_suvw = (law[..., None] * rows[None, :, None, :] for law in pair.suv)
+    needed = (cond_entropy_of_array(p_suvw, (3,), (2,))
+              - cond_entropy_of_array(p_suvw, (3,), (1, 2)))
     feasible = rate >= needed - 1e-12
     exponent = kappa_star(rate, pair, w_channel)
-    privacy0 = _privacy_level(p_joint, ("W",) + v_axes, pair, kind)
+    privacy0 = _privacy_level(p_suvw, (3, 2), pair, kind)
     # the alternate hypothesis sees W only when the U-marginals coincide
-    same_u = pmf_close(pair.p.marginal_pmf("U"), pair.q.marginal_pmf("U"))
-    privacy1 = _privacy_level(q_joint, ("W",) + v_axes if same_u else v_axes, pair, kind)
+    privacy1 = _privacy_level(q_suvw, (3, 2) if pair.same_u_marginals() else (2,), pair, kind)
     return TradeoffPoint(rate, exponent, privacy0, privacy1, kind,
                          feasible=feasible, channel=w_channel)
 
@@ -857,7 +858,7 @@ def zero_rate_privacy(pair: HypothesisPair) -> ZeroRatePrivacy:
     """Maximal zero-rate privacy levels: per-letter Bayes distortions given V
     alone and the conditional equivocations H(S|V) under each hypothesis."""
     def levels(kind):
-        return [_privacy_level(pair.law(h), pair.v_axes, pair, kind) for h in (0, 1)]
+        return [_privacy_level(pair.suv[h], (2,), pair, kind) for h in (0, 1)]
 
     deltas = levels("distortion") if pair.distortion is not None else [None, None]
     lambdas = levels("equivocation")

@@ -376,6 +376,21 @@ class TestCounterexample:
         margin = 0.1 * eps * (pt.no_message_level - pt.weak_converse_level)
         assert pt.equivocation_per_letter > pt.weak_converse_level + margin
 
+    def test_beta_is_the_exact_type_two_error(self):
+        # the curve's beta_n is exact_errors' beta of the same scheme, and the
+        # brute-force oracle's
+        from htpriv.oracle import exact_error_probabilities
+        pair = instances.load_instance(
+            os.path.join(ROOT, "instances", "counterexample_binary.json"))
+        cfg = SchemeConfig("timeshare", delta=0.2, epsilon_star=0.25)
+        ns = (1, 2, 3, 4, 5, 6)
+        for n, pt in zip(ns, counterexample_curve(pair, 0.25, ns, delta=0.2)):
+            scheme = make_scheme(cfg, pair, n, seed=0)
+            assert pt.n == n and pt.beta_exact == exact_errors(scheme, pair)[1]
+            _, beta = exact_error_probabilities(
+                law_model(scheme.law), _acceptance_predicate(cfg, pair, n, 0), pair, n)
+            assert pt.beta_exact == pytest.approx(beta, abs=1e-12)
+
 
 class TestZeroRateEquivocationGap:
     def test_gap_nonincreasing_when_u_marginals_match(self):

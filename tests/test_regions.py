@@ -369,6 +369,43 @@ class TestTheoremPoints:
             indep = conditional_entropy(p_joint, "S", ("W", "V"))
             assert pt.privacy0 == pytest.approx(indep, abs=1e-10)
 
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5]], [[0.5, 0.5]] * 3],
+                             ids=["one_row", "three_rows"])
+    def test_channel_of_the_wrong_size_is_value_error(self, rows):
+        # checked before the channel is broadcast against the |U| = 2 laws
+        pair, chan = instances.zero_rate_binary_pair(), Channel(rows)
+        calls = (lambda: theorem1_point(pair, chan, 0.5), lambda: theorem2_point(pair, chan, 0.5),
+                 lambda: kappa_star(0.5, pair, chan), lambda: exponent_e1(pair, chan),
+                 lambda: exponent_e2(0.5, pair, chan))
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"auxiliary channel input size {len(rows)} "
+                                                 r"!= \|U\| = 2"):
+                call()
+
+
+class TestHypothesisPair:
+    def test_suv_is_a_read_only_positional_layout(self):
+        # axes declared as (Y, U, Z, S): suv is (S, U, (Y, Z)), V flattened in
+        # declared order, and the inner bound does not depend on the order
+        rng = np.random.default_rng(MASTER_SEED + 71)
+        laws = [rng.gamma(1, 1, (2, 3, 2, 2)) for _ in range(2)]
+        axes = (("Y", 2), ("U", 3), ("Z", 2), ("S", 2))
+        pair = HypothesisPair(*(JointPmf(axes, a / a.sum()) for a in laws),
+                              distortion=instances.hamming(2))
+        canon = HypothesisPair(*(JointPmf((("S", 2), ("U", 3), ("Y", 2), ("Z", 2)),
+                                          law.marginal_array(("S", "U", "Y", "Z")))
+                                 for law in (pair.p, pair.q)), distortion=instances.hamming(2))
+        chan = random_channel(rng, 3, 2)
+        for h in (0, 1):
+            want = pair.law(h).marginal_array(("S", "U", "Y", "Z")).reshape(2, 3, 4)
+            assert np.array_equal(pair.suv[h], want)
+            with pytest.raises(ValueError, match="read-only"):
+                pair.suv[h][0, 0, 0] = 1.0
+        for point in (theorem1_point, theorem2_point):
+            got, want = point(pair, chan, 0.3), point(canon, chan, 0.3)
+            assert (got.exponent, got.privacy0, got.privacy1, got.feasible) == pytest.approx(
+                (want.exponent, want.privacy0, want.privacy1, want.feasible), abs=1e-12)
+
 
 class TestTaciPoint:
     def test_example2_full_tuple(self):
