@@ -39,6 +39,7 @@ from htpriv.regions import (
     exponent_e2_solution,
     kappa_star,
     solve_coupling,
+    taci_alternate_law,
     taci_frontier,
     taci_point,
     theorem1_point,
@@ -1058,4 +1059,53 @@ class TestTheoremDigest:
             lines.append(repr(zero_rate_privacy(pair)))
             lines.append(repr(counterexample_levels(pair)))
             lines += [pair.uv_law(h).tobytes().hex() for h in (0, 1)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.SHA256
+
+
+class TestTaciDigest:
+    """One SHA-256 over the exact outputs of the conditional-independence
+    region: taci_point for random channels with |W| = 1 .. 4, the bytes of
+    taci_alternate_law and a small taci_frontier (coordinates, ids and
+    channel bytes) on the shipped binary cascade, the example 2 null law and
+    seeded random (2, 3, 2, 2) laws, and the bytes of the example2 CSV.  Any
+    change that moves a bit of them fails here."""
+
+    SHA256 = "af8c513f00e4f019396d03f376eeabed3a48098af897e820ca43b55c7ec632f0"
+
+    @staticmethod
+    def laws():
+        """(null law, Q_{S|UYZ}) pairs: the shipped instance, example 2 with
+        a uniform conditional, and three seeded random laws."""
+        root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "instances")
+        pair = instances.load_instance(os.path.join(root, "example1_taci.json"))
+        out = [(pair.p, instances.conditional_s_given_rest(pair.q)),
+               (instances.example2_taci_joint(), np.full((4, 2, 1, 4), 0.25))]
+        rng = np.random.default_rng(MASTER_SEED + 29)
+        for _ in range(3):
+            p = rng.gamma(1.0, 1.0, (2, 3, 2, 2))
+            q_cond = rng.gamma(1.0, 1.0, (3, 2, 2, 2))
+            out.append((JointPmf((("S", 2), ("U", 3), ("Y", 2), ("Z", 2)), p / p.sum()),
+                        q_cond / q_cond.sum(axis=-1, keepdims=True)))
+        return out
+
+    def test_outputs_are_bit_identical(self, tmp_path):
+        from htpriv.cli import main
+
+        rng = np.random.default_rng(MASTER_SEED + 30)
+        lines = []
+        for p, q_cond in self.laws():
+            nu = p.axis_size("U")
+            for nw in (1, 2, 3, 4):
+                for _ in range(3):
+                    lines.append(repr(taci_point(p, random_channel(rng, nu, nw))))
+            lines.append(taci_alternate_law(p, q_cond).probs.tobytes().hex())
+            cfg = FrontierConfig(random_seeds=1, rng_seed=3, w_sizes=(2,))
+            for pt in taci_frontier(p, q_cond, cfg):
+                lines.append(repr([pt.rate, pt.exponent, pt.privacy0, pt.privacy1,
+                                   pt.privacy_kind, pt.feasible, pt.channel_id,
+                                   pt.channel.rows.tobytes().hex()]))
+        out = tmp_path / "ex2.csv"
+        assert main(["run", "--experiment", "example2", "--out", str(out)]) == 0
+        lines.append(out.read_bytes().hex())
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.SHA256
