@@ -40,7 +40,7 @@ from .probcore import (
     JointPmf,
     LN2,
     Pmf,
-    conditional_entropy,
+    cond_entropy_of_array,
     has_typical_sequence,
     nats_to_bits,
     pmf_close,
@@ -173,8 +173,9 @@ def _run_example2(pair, params, seed):
     joint = instances.example2_taci_joint()
     parity = regions.Channel(np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float))
     tp = regions.taci_point(joint, parity)
-    q_joint = regions.attach_channel(pair.q, parity)
-    lam1 = conditional_entropy(q_joint, "S", ("W", "Y"))
+    # H(S|W,Y) of the alternate law's (S, U, Y, W) array
+    lam1 = cond_entropy_of_array(pair.suv[1][..., None] * parity.rows[None, :, None, :],
+                                 (0,), (2, 3))
     rows = [("tuple", 0, nats_to_bits(tp.rate_needed), nats_to_bits(tp.exponent),
              nats_to_bits(tp.equivocation0), nats_to_bits(lam1))]
     for n in range(1, params.get("n_max", 4) + 1):
@@ -195,16 +196,17 @@ def _warn_empty_typical_set(pair, n: int, delta: float) -> None:
 
 
 def _run_frontier(pair, params, seed):
-    if not {"Y", "Z"} <= set(pair.p.names):
+    if set(pair.p.names) != {"S", "U", "Y", "Z"}:
         raise ExperimentError('frontier expects a conditional-independence instance '
                               'with axes ("S","U","Y","Z")')
-    # the search rebuilds Q from Q_{S|UYZ} and the null law's marginals
-    q_cond = instances.conditional_s_given_rest(pair.q)
+    # the search rebuilds Q from Q_{S|UYZ} and the null law's marginals; both
+    # are read in the (S, U, Y, Z) layout, whatever the declared axis order
+    q_suyz = pair.q.marginal(("S", "U", "Y", "Z"))
+    q_cond = instances.conditional_s_given_rest(q_suyz)
     q_taci = regions.taci_alternate_law(pair.p, q_cond).probs
-    q_file = pair.q.marginal_array(("S", "U", "Y", "Z"))
-    if not pmf_close(q_taci, q_file):
-        raise ExperimentError("frontier needs Q = Q_{S|UYZ} P_{U|Z} P_{Y|Z} P_Z; the instance's "
-                              f"Q deviates by {np.abs(q_taci - q_file).max():.3g} in one cell")
+    if not pmf_close(q_taci, q_suyz.probs):
+        raise ExperimentError("frontier needs Q = Q_{S|UYZ} P_{U|Z} P_{Y|Z} P_Z; the instance's Q "
+                              f"deviates by {np.abs(q_taci - q_suyz.probs).max():.3g} in one cell")
     points = regions.taci_frontier(pair.p, q_cond, regions.FrontierConfig(rng_seed=seed, **params))
     rows = [
         (nats_to_bits(pt.rate), nats_to_bits(pt.exponent), nats_to_bits(pt.privacy0),
@@ -319,7 +321,9 @@ _RUNNERS = {
 def validate_instance(path: str) -> dict:
     """Diagnostics for an instance file.  A file that ``instances.read_record``
     rejects raises ExperimentError naming the file and the field; the file is
-    ``normalized`` when both laws pass the JointPmf check that ``run`` applies."""
+    ``normalized`` when both laws pass the JointPmf check that ``run`` applies,
+    and a normalized file is then loaded as ``run`` loads it, so a pair that
+    ``run`` rejects raises the same ValueError, naming the file."""
     try:
         rec = instances.read_record(path)
     except ValueError as e:
@@ -340,7 +344,7 @@ def validate_instance(path: str) -> dict:
         diags["p_abs_cont_q"] = bool(np.all(q_arr[p_arr > 0] > 0))
         diags["q_abs_cont_p"] = bool(np.all(p_arr[q_arr > 0] > 0))
     if diags["normalized"]:
-        pair = instances.pair_from_record(rec)
+        pair = instances.load_instance(path)
         diags["u_marginals_equal"] = pair.same_u_marginals()
         h_suv, h_sv, holds = adversary.counterexample_levels(pair)
         diags["h_p_s_given_uv_bits"] = h_suv / LN2

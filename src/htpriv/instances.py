@@ -168,18 +168,32 @@ def read_record(path: str) -> dict:
 
 
 def pair_from_record(rec: dict) -> HypothesisPair:
-    """The hypothesis pair of a record that ``read_record`` returned."""
-    distortion = rec.get("distortion")
-    d_max = rec.get("d_max")
-    return HypothesisPair(
-        *(JointPmf(rec[key]["axes"], rec[key]["probs"]) for key in LAWS),
-        distortion=np.asarray(distortion, float) if distortion is not None else None,
-        d_max=float(d_max) if d_max is not None else None,
-    )
+    """The hypothesis pair of a record that ``read_record`` returned.  A law,
+    distortion table or ``d_max`` that cannot be read raises ValueError
+    naming its field."""
+    def field(key, read):
+        try:
+            return read()
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"field {key!r}: {e}") from e
+
+    laws = [field(key, lambda: JointPmf(rec[key]["axes"], rec[key]["probs"])) for key in LAWS]
+    distortion, d_max = rec.get("distortion"), rec.get("d_max")
+    if distortion is not None:
+        distortion = field("distortion", lambda: np.asarray(distortion, float))
+    if d_max is not None:
+        d_max = field("d_max", lambda: float(d_max))
+    return HypothesisPair(*laws, distortion=distortion, d_max=d_max)
 
 
 def load_instance(path: str) -> HypothesisPair:
-    return pair_from_record(read_record(path))
+    """The hypothesis pair of the instance file at ``path``; every ValueError
+    names the file."""
+    rec = read_record(path)
+    try:
+        return pair_from_record(rec)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def conditional_s_given_rest(joint: JointPmf) -> np.ndarray:

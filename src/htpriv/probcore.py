@@ -80,7 +80,7 @@ def _as_prob_array(probs, shape=None) -> np.ndarray:
         raise ValueError(f"negative probability entry: min={a.min()}")
     a = np.maximum(a, 0.0)
     total = a.sum()
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:   # NaN or infinite mass too
         raise ValueError(f"probabilities sum to {total}, not 1 within {MASS_TOL}")
     return a
 
@@ -163,7 +163,7 @@ class JointPmf:
         return Pmf(self.marginal_array((name,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Channel:
     """Row-stochastic conditional law: rows[i] is a Pmf over outputs given input i."""
 

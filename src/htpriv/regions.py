@@ -23,9 +23,7 @@ from .probcore import (
     Pmf,
     bayes_decision,
     binary_entropy,
-    conditional_entropy,
     cond_entropy_of_array,
-    conditional_mutual_information,
     kl_of_arrays,
     marginal_of_array,
     pmf_close,
@@ -98,6 +96,10 @@ class HypothesisPair:
             if d.ndim != 2 or d.shape[0] != self.p.axis_size("S"):
                 raise ValueError(f"distortion table shape {d.shape} does not cover S")
             dm = self.d_max if self.d_max is not None else float(d.max())
+            if not np.isfinite(d).all():
+                raise ValueError("distortion entries must be finite")
+            if not math.isfinite(dm):
+                raise ValueError(f"d_max must be finite, got {dm}")
             if d.min() < 0 or d.max() > dm + 1e-12:
                 raise ValueError("distortion entries must lie in [0, d_max]")
             d.flags.writeable = False
@@ -141,7 +143,7 @@ def attach_channel(joint: JointPmf, channel: Channel) -> JointPmf:
     return JointPmf(joint.axes + (("W", channel.output_size),), ext)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradeoffPoint:
     """One achievable (rate, exponent, privacy0, privacy1) tuple, in nats."""
 
@@ -615,28 +617,34 @@ def theorem2_point(pair: HypothesisPair, w_channel: Channel, rate: float) -> Tra
 # testing against conditional independence
 # ---------------------------------------------------------------------------
 
-def _require_taci_axes(p_suyz: JointPmf):
-    for name in ("S", "U", "Y", "Z"):
-        p_suyz.axis_index(name)
+def _taci_array(p_suyz: JointPmf) -> np.ndarray:
+    """The law laid out as an (S, U, Y, Z) array, whatever the declared axis
+    order; a missing axis raises UnknownAxisError."""
+    return p_suyz.marginal_array(("S", "U", "Y", "Z"))
 
 
 def taci_point(p_suyz: JointPmf, w_channel: Channel) -> TaciPoint:
     """Region coordinates for one auxiliary channel: required rate I(W;U|Z),
     exponent I(W;Y|Z), null-hypothesis equivocation H(S|W,Y,Z).  All nats."""
-    _require_taci_axes(p_suyz)
-    j = attach_channel(p_suyz, w_channel)
+    p = _taci_array(p_suyz)
+    if w_channel.input_size != p.shape[1]:
+        raise ValueError(f"channel input size {w_channel.input_size} != |U| = {p.shape[1]}")
+    # (S, U, Y, Z, W)
+    x = p[..., None] * w_channel.rows[None, :, None, None, :]
+    h_w_z = cond_entropy_of_array(x, (4,), (3,))
     return TaciPoint(
-        rate_needed=conditional_mutual_information(j, "W", "U", "Z"),
-        exponent=conditional_mutual_information(j, "W", "Y", "Z"),
-        equivocation0=conditional_entropy(j, "S", ("W", "Y", "Z")),
+        rate_needed=h_w_z - cond_entropy_of_array(x, (4,), (1, 3)),
+        exponent=h_w_z - cond_entropy_of_array(x, (4,), (2, 3)),
+        equivocation0=cond_entropy_of_array(x, (0,), (2, 3, 4)),
     )
 
 
 def taci_alternate_law(p_suyz: JointPmf, q_s_given_uyz: np.ndarray) -> JointPmf:
     """Alternate joint Q_SUYZ = Q_{S|UYZ} P_{U|Z} P_{Y|Z} P_Z (conditional
-    independence of U and Y given Z), from the null law's marginals."""
-    _require_taci_axes(p_suyz)
-    p_uyz = p_suyz.marginal_array(("U", "Y", "Z"))
+    independence of U and Y given Z), from the null law's marginals.
+    ``q_s_given_uyz`` is indexed (U, Y, Z, S) over the null law's alphabets."""
+    p = _taci_array(p_suyz)
+    p_uyz = p.sum(axis=0)
     p_uz = p_uyz.sum(axis=1)
     p_yz = p_uyz.sum(axis=0)
     p_z = p_yz.sum(axis=0)
@@ -645,15 +653,16 @@ def taci_alternate_law(p_suyz: JointPmf, q_s_given_uyz: np.ndarray) -> JointPmf:
         q_uyz = np.divide(q_uyz, p_z[None, None, :], out=np.zeros_like(q_uyz),
                           where=p_z[None, None, :] > 0)
     cond = np.asarray(q_s_given_uyz, dtype=float)
-    ns = cond.shape[-1]
-    if cond.shape != p_uyz.shape + (ns,):
+    ns = p.shape[0]
+    if cond.shape[:-1] != p_uyz.shape:
         raise ValueError(
             f"q_s_given_uyz shape {cond.shape} does not match (U,Y,Z,S) sizes"
         )
+    if cond.shape[-1] != ns:
+        raise ValueError(f"q_s_given_uyz is over {cond.shape[-1]} letters of S, "
+                         f"the null law over |S| = {ns}")
     q = np.einsum("uyz,uyzs->suyz", q_uyz, cond)
-    names = ("S", "U", "Y", "Z")
-    sizes = (ns,) + p_uyz.shape
-    return JointPmf(tuple(zip(names, sizes)), q)
+    return JointPmf(tuple(zip(("S", "U", "Y", "Z"), p.shape)), q)
 
 
 @dataclass(frozen=True)
@@ -750,10 +759,9 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
     by :func:`taci_point`.
     """
     cfg = config or FrontierConfig()
-    _require_taci_axes(p_suyz)
-    nu = p_suyz.axis_size("U")
-    q_joint = taci_alternate_law(p_suyz, q_s_given_uyz)
-    lambda_min = conditional_entropy(q_joint, "S", ("U", "Y", "Z"))
+    nu = _taci_array(p_suyz).shape[1]
+    q = taci_alternate_law(p_suyz, q_s_given_uyz)
+    lambda_min = cond_entropy_of_array(q.probs, (0,), (1, 2, 3))
     w_sizes = tuple(range(1, nu + 3)) if cfg.w_sizes is None else cfg.w_sizes
     rng = np.random.default_rng(cfg.rng_seed)
 

@@ -36,7 +36,7 @@ from .probcore import (
     type_counts,
     typical_rows,
 )
-from .regions import HypothesisPair
+from .regions import HypothesisPair, _channel_rows
 
 __all__ = [
     "Codebook",
@@ -412,7 +412,8 @@ def make_scheme(config: SchemeConfig, pair: HypothesisPair, n: int, seed: int) -
     nu, nv = p_uv.shape
     p_u = Pmf(p_uv.sum(axis=1))
     if config.scheme == "likelihood":
-        rows = np.eye(nu) if config.w_channel is None else config.w_channel.rows
+        rows = (np.eye(nu) if config.w_channel is None
+                else _channel_rows(pair, config.w_channel))
         cb = build_codebook(p_u.probs[:, None] * rows, n, config.eta, config.rate_nats, seed)
         return likelihood_scheme(cb, rows.T @ p_uv, config)
     if config.scheme == "zero_rate":

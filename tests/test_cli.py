@@ -150,6 +150,46 @@ class TestFrontierExperiment:
         assert err["error"] == "ExperimentError"
         assert f"by {deviation:.3g} in one cell" in err["message"]
 
+    def test_any_declared_axis_order_gives_the_same_rows(self, tmp_path):
+        # Q_{S|UYZ} is read in the (S, U, Y, Z) layout, so a CI pair declared
+        # (S, U, Z, Y) is no longer taken for a Q of another form
+        rng = np.random.default_rng(31)
+        p = rng.gamma(1.0, 1.0, (2, 3, 2, 2))
+        p_suyz = JointPmf((("S", 2), ("U", 3), ("Y", 2), ("Z", 2)), p / p.sum())
+        q_cond = rng.gamma(1.0, 1.0, (3, 2, 2, 2))
+        q_suyz = regions.taci_alternate_law(p_suyz, q_cond / q_cond.sum(-1, keepdims=True))
+        order = ("S", "U", "Z", "Y")
+        csvs = []
+        for names in (("S", "U", "Y", "Z"), order):
+            laws = [JointPmf(tuple((n, law.axis_size(n)) for n in names), law.marginal_array(names))
+                    for law in (p_suyz, q_suyz)]
+            inst, out = tmp_path / f"{''.join(names)}.json", tmp_path / f"{''.join(names)}.csv"
+            instances.save_instance(HypothesisPair(*laws), str(inst))
+            assert main(["run", "--experiment", "frontier", "--instance", str(inst),
+                         "--out", str(out), "--param", "w_sizes=2",
+                         "--param", "random_seeds=2"]) == 0
+            csvs.append(read_rows(out))
+        (_, want), (_, got) = csvs
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[-1] == w[-1]
+            np.testing.assert_allclose([float(x) for x in g[:-1]], [float(x) for x in w[:-1]],
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("names", [("S", "U", "Y"), ("S", "U", "Y", "Z", "X")],
+                             ids=["no_z", "extra_axis"])
+    def test_other_axes_fail(self, tmp_path, capsys, names):
+        # an extra observation axis would be summed out of the search silently
+        law = JointPmf(tuple((n, 2) for n in names), np.full((2,) * len(names), 0.5 ** len(names)))
+        inst, out = tmp_path / "other.json", tmp_path / "front.csv"
+        instances.save_instance(HypothesisPair(law, law), str(inst))
+        rc = main(["run", "--experiment", "frontier", "--instance", str(inst), "--out", str(out),
+                   "--param", "w_sizes=2", "--param", "random_seeds=1"])
+        assert rc == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ExperimentError" and '("S","U","Y","Z")' in err["message"]
+
     def test_structured_seeds_is_unknown_key(self, tmp_path, capsys):
         # the structured seed family is fixed; it is no parameter of the search
         out = tmp_path / "front.csv"
@@ -617,6 +657,52 @@ class TestValidate:
         assert captured.out == ""
         rec = json.loads(captured.err.strip())
         assert rec["error"] == "ValueError" and rec["message"]
+
+
+class TestInstanceErrors:
+    """A rejected instance file exits 1 under run and validate with an error
+    that names the file, and the field where one field is at fault."""
+
+    @pytest.mark.parametrize("field, spoil", [
+        ("'distortion'", lambda rec: rec.update(distortion="abc")),
+        ("'d_max'", lambda rec: rec.update(d_max="x")),
+        ("distortion", lambda rec: rec.update(distortion=[[0.0, 1.0, 1.0]])),
+        ("distortion", lambda rec: rec.update(distortion=[[0.0, math.nan], [1.0, 0.0]])),
+        ("d_max", lambda rec: rec.update(d_max=math.nan)),
+        ("axes differ", lambda rec: rec["q_suv"]["axes"][2].update(name="Y")),
+    ], ids=["distortion_text", "d_max_text", "distortion_shape", "distortion_nan",
+            "d_max_nan", "axes_differ"])
+    def test_run_and_validate_name_file_and_field(self, tmp_path, capsys, field, spoil):
+        inst = tmp_path / "spoilt.json"
+        instances.save_instance(instances.counterexample_pair(), str(inst))
+        rec = json.loads(inst.read_text(encoding="utf-8"))
+        spoil(rec)
+        inst.write_text(json.dumps(rec), encoding="utf-8")
+        out = tmp_path / "zr.csv"
+        for argv in (["run", "--experiment", "zero_rate", "--instance", str(inst),
+                      "--out", str(out)], ["validate", "--instance", str(inst)]):
+            assert main(argv) == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ValueError"
+            assert err["message"].startswith(f"{inst}: ") and field in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan], ids=["mass", "nan"])
+    def test_law_that_is_no_pmf(self, tmp_path, capsys, bad):
+        # validate reports it as not normalized; run names the file and the law
+        inst = tmp_path / "spoilt.json"
+        instances.save_instance(instances.counterexample_pair(), str(inst))
+        rec = json.loads(inst.read_text(encoding="utf-8"))
+        rec["p_suv"]["probs"][0] = bad
+        inst.write_text(json.dumps(rec), encoding="utf-8")
+        assert main(["validate", "--instance", str(inst)]) == 0
+        assert "normalized=False" in capsys.readouterr().out
+        out = tmp_path / "zr.csv"
+        assert main(["run", "--experiment", "zero_rate", "--instance", str(inst),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"].startswith(f"{inst}: field 'p_suv': probabilities sum to")
+        assert not out.exists()
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,15 @@ def test_every_exported_name_resolves():
             continue
         home = importlib.import_module(obj.__module__)
         assert getattr(home, name) is obj and name in home.__all__, name
+
+
+def test_evaluators_resolve_no_axis_names_per_call():
+    # the region evaluators, schemes, audits and CLI read laws by axis position;
+    # the named information measures and attach_channel remain for the tests
+    measures = ("conditional_entropy", "conditional_mutual_information", "mutual_information")
+    call = re.compile(r"(?<!def )\b(%s|attach_channel)\(" % "|".join(measures))
+    for name in ("regions", "schemes", "adversary", "cli"):
+        module = importlib.import_module(f"htpriv.{name}")
+        assert not [m for m in measures if hasattr(module, m)], f"htpriv.{name} imports one"
+        calls = call.findall(inspect.getsource(module))
+        assert not calls, f"htpriv.{name} calls {calls}"

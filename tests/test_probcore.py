@@ -372,6 +372,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             Channel([[0.5, 0.4], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_mass_is_rejected(self, bad):
+        # abs(NaN - 1) > tol is False, so the mass test is written as not <=
+        with pytest.raises(ValueError, match="sum to"):
+            Pmf([bad, 1.0])
+        with pytest.raises(ValueError, match="sum to"):
+            JointPmf((("X", 2), ("Y", 2)), [[0.25, 0.25], [0.25, bad]])
+        with pytest.raises(ValueError, match="channel row 1 invalid"):
+            Channel([[0.5, 0.5], [bad, 1.0]])
+
     def test_sequence_range(self):
         with pytest.raises(ValueError):
             SequenceSample([0, 2], 2)

@@ -17,6 +17,7 @@ from htpriv.probcore import (
     Channel,
     JointPmf,
     Pmf,
+    UnknownAxisError,
     binary_entropy,
     conditional_entropy,
     conditional_mutual_information,
@@ -408,6 +409,19 @@ class TestHypothesisPair:
                 (want.exponent, want.privacy0, want.privacy1, want.feasible), abs=1e-12)
 
 
+    @pytest.mark.parametrize("distortion, d_max, match", [
+        ([[0.0, math.nan], [1.0, 0.0]], None, "distortion entries must be finite"),
+        ([[0.0, math.inf], [1.0, 0.0]], None, "distortion entries must be finite"),
+        ([[0.0, 1.0], [1.0, 0.0]], math.nan, "d_max must be finite"),
+        ([[0.0, 1.0], [1.0, 0.0]], math.inf, "d_max must be finite"),
+    ])
+    def test_non_finite_distortion_is_value_error(self, distortion, d_max, match):
+        # a NaN fails every comparison, so the range check alone lets it pass
+        law = instances.zero_rate_binary_pair().p
+        with pytest.raises(ValueError, match=match):
+            HypothesisPair(law, law, distortion=np.array(distortion), d_max=d_max)
+
+
 class TestTaciPoint:
     def test_example2_full_tuple(self):
         joint = instances.example2_taci_joint()
@@ -450,6 +464,28 @@ class TestTaciPoint:
             chan = random_channel(rng, 3, int(rng.integers(1, 5)))
             tp = taci_point(p, chan)
             assert tp.exponent <= tp.rate_needed + 1e-10
+
+
+    def test_channel_of_the_wrong_size_is_value_error(self):
+        p = random_taci_joint(np.random.default_rng(MASTER_SEED + 72), nu=3)
+        with pytest.raises(ValueError, match=r"channel input size 2 != \|U\| = 3"):
+            taci_point(p, Channel(np.eye(2)))
+
+    def test_missing_axis_is_unknown_axis_error(self):
+        p = instances.example2_pair().p   # (S, U, Y): no Z axis
+        with pytest.raises(UnknownAxisError, match="'Z'"):
+            taci_point(p, Channel(np.eye(4)))
+
+    def test_declared_axis_order_does_not_matter(self):
+        rng = np.random.default_rng(MASTER_SEED + 73)
+        p = random_taci_joint(rng, nu=3)
+        order = ("Z", "U", "S", "Y")
+        permuted = JointPmf(tuple((n, p.axis_size(n)) for n in order), p.marginal_array(order))
+        for nw in (1, 2, 4):
+            chan = random_channel(rng, 3, nw)
+            want, got = taci_point(p, chan), taci_point(permuted, chan)
+            assert (got.rate_needed, got.exponent, got.equivocation0) == pytest.approx(
+                (want.rate_needed, want.exponent, want.equivocation0), abs=1e-14)
 
 
 class TestTaciFrontier:
@@ -524,6 +560,16 @@ class TestTaciFrontier:
         # None asks for the default sizes; an empty tuple asks for no search
         with pytest.raises(ValueError, match="w_sizes"):
             FrontierConfig(w_sizes=())
+
+    def test_conditional_over_another_s_alphabet_is_value_error(self):
+        # a 3-letter Q_{S|UYZ} for a 2-letter null would make a ("S", 3) law
+        joint, _ = self._example1_taci(0.25, 0.0)
+        q_cond = np.full((2, 2, 1, 3), 1.0 / 3.0)
+        match = r"over 3 letters of S, the null law over \|S\| = 2"
+        with pytest.raises(ValueError, match=match):
+            taci_alternate_law(joint, q_cond)
+        with pytest.raises(ValueError, match=match):
+            taci_frontier(joint, q_cond, FrontierConfig(random_seeds=0, w_sizes=(1,)))
 
     def test_trivial_channel_gives_one_point(self):
         # |W| = 1 discloses nothing: every structured seed is the same point

@@ -170,6 +170,15 @@ class TestCodebookLaw:
         for field in ("p_uw", "codewords", "bins"):
             np.testing.assert_array_equal(getattr(cb, field), getattr(want, field))
 
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5]], [[0.5, 0.5]] * 3],
+                             ids=["one_row", "three_rows"])
+    def test_channel_of_the_wrong_size_is_value_error(self, rows):
+        # checked before a codebook is built from a broadcast joint
+        cfg = SchemeConfig(scheme="likelihood", delta=0.3, w_channel=Channel(rows))
+        with pytest.raises(ValueError, match=rf"auxiliary channel input size {len(rows)} "
+                                             r"!= \|U\| = 2"):
+            make_scheme(cfg, instances.example1_pair(0.2, 0.0), 4, seed=0)
+
     def test_typicality_schemes_have_no_codebook(self):
         pair = instances.counterexample_pair()
         for cfg in (SchemeConfig(scheme="zero_rate"),
