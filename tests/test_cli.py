@@ -158,9 +158,8 @@ class TestFrontierExperiment:
         p_suyz = JointPmf((("S", 2), ("U", 3), ("Y", 2), ("Z", 2)), p / p.sum())
         q_cond = rng.gamma(1.0, 1.0, (3, 2, 2, 2))
         q_suyz = regions.taci_alternate_law(p_suyz, q_cond / q_cond.sum(-1, keepdims=True))
-        order = ("S", "U", "Z", "Y")
         csvs = []
-        for names in (("S", "U", "Y", "Z"), order):
+        for names in (("S", "U", "Y", "Z"), ("S", "U", "Z", "Y")):
             laws = [JointPmf(tuple((n, law.axis_size(n)) for n in names), law.marginal_array(names))
                     for law in (p_suyz, q_suyz)]
             inst, out = tmp_path / f"{''.join(names)}.json", tmp_path / f"{''.join(names)}.csv"

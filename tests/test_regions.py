@@ -408,7 +408,6 @@ class TestHypothesisPair:
             assert (got.exponent, got.privacy0, got.privacy1, got.feasible) == pytest.approx(
                 (want.exponent, want.privacy0, want.privacy1, want.feasible), abs=1e-12)
 
-
     @pytest.mark.parametrize("distortion, d_max, match", [
         ([[0.0, math.nan], [1.0, 0.0]], None, "distortion entries must be finite"),
         ([[0.0, math.inf], [1.0, 0.0]], None, "distortion entries must be finite"),
@@ -464,7 +463,6 @@ class TestTaciPoint:
             chan = random_channel(rng, 3, int(rng.integers(1, 5)))
             tp = taci_point(p, chan)
             assert tp.exponent <= tp.rate_needed + 1e-10
-
 
     def test_channel_of_the_wrong_size_is_value_error(self):
         p = random_taci_joint(np.random.default_rng(MASTER_SEED + 72), nu=3)
