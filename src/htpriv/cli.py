@@ -19,9 +19,10 @@ the error names the key, file or field.  A failed run leaves the file at
 into place only when complete.  Degenerate regimes, such as a simulated or
 counterexample scheme whose typical set is empty at some n, a likelihood
 scheme whose rate is high enough that its codebook is not binned, a privacy
-estimate that fell back to the biased importance-sampling branch, or a
+estimate that fell back to the biased importance-sampling branch, a
 zero-rate exponent that is +inf only because the coupling solver ran out of
-sweeps, print one JSON warning line on stderr each.
+sweeps, or a typicality detector whose acceptance box holds the alternate law,
+print one strict JSON warning line on stderr each.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import adversary, instances, regions, schemes
 from .probcore import (
+    _typical_freqs,
     Channel,
     JointPmf,
     LN2,
@@ -174,8 +176,7 @@ def _run_example2(pair, params, seed):
     parity = regions.Channel(np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float))
     tp = regions.taci_point(joint, parity)
     # H(S|W,Y) of the alternate law's (S, U, Y, W) array
-    lam1 = cond_entropy_of_array(pair.suv[1][..., None] * parity.rows[None, :, None, :],
-                                 (0,), (2, 3))
+    lam1 = cond_entropy_of_array(parity.attach(pair.suv[1], 1), (0,), (2, 3))
     rows = [("tuple", 0, nats_to_bits(tp.rate_needed), nats_to_bits(tp.exponent),
              nats_to_bits(tp.equivocation0), nats_to_bits(lam1))]
     for n in range(1, params.get("n_max", 4) + 1):
@@ -187,12 +188,32 @@ def _run_example2(pair, params, seed):
             "equivocation0_bits", "equivocation1_bits"], rows
 
 
+def _warn(kind: str, **fields) -> None:
+    """One JSON warning line on stderr; a non-finite field raises ValueError
+    rather than print a NaN or Infinity that no strict JSON parser reads."""
+    print(json.dumps({"warning": kind, **fields}, allow_nan=False), file=sys.stderr)
+
+
 def _warn_empty_typical_set(pair, n: int, delta: float) -> None:
-    """One JSON warning line on stderr when no u-block of length n is
-    delta-typical, so the scheme sends only the error message."""
-    if not has_typical_sequence(pair.p.marginal_pmf("U").probs, n, delta):
-        print(json.dumps({"warning": "empty_typical_set", "n": n, "delta": delta}),
-              file=sys.stderr)
+    """Warn when no u-block of length n is delta-typical, so the scheme sends
+    only the error message."""
+    if not has_typical_sequence(pair.uv_law(0).sum(axis=1), n, delta):
+        _warn("empty_typical_set", n=n, delta=delta)
+
+
+def _warn_vacuous_test(pair, cfg: schemes.SchemeConfig) -> None:
+    """Warn when a typicality detector's acceptance box holds the alternate
+    law, so that Q-typical blocks pass and beta_n does not decay.  The
+    zero-rate test's box is both marginals of P_UV within delta; the timeshare
+    test's is P_U within delta and P_UV within delta_tilde = 2 delta."""
+    p_uv, q_uv = pair.uv_law(0), pair.uv_law(1)
+    boxes = [(q_uv.sum(axis=1), p_uv.sum(axis=1), cfg.delta)]
+    if cfg.scheme == "zero_rate":
+        boxes.append((q_uv.sum(axis=0), p_uv.sum(axis=0), cfg.delta))
+    else:
+        boxes.append((q_uv.ravel(), p_uv.ravel(), cfg.delta_tilde))
+    if all(_typical_freqs(q, p, delta) for q, p, delta in boxes):
+        _warn("vacuous_test", scheme=cfg.scheme, delta=cfg.delta)
 
 
 def _run_frontier(pair, params, seed):
@@ -219,12 +240,12 @@ def _run_frontier(pair, params, seed):
 def _run_zero_rate(pair, params, seed):
     q_uv = pair.uv_law(1)
     flat_q = JointPmf((("U", q_uv.shape[0]), ("V", q_uv.shape[1])), q_uv)
-    p_v = Pmf(pair.uv_law(0).sum(axis=0))
-    sol = regions.zero_rate_exponent_solution(pair.p.marginal_pmf("U"), p_v, flat_q)
+    p_uv = pair.uv_law(0)
+    sol = regions.zero_rate_exponent_solution(Pmf(p_uv.sum(axis=1)), Pmf(p_uv.sum(axis=0)),
+                                              flat_q)
     exponent = sol.objective
     if math.isinf(exponent) and sol.stop == "sweep_cap":
-        print(json.dumps({"warning": "unproven_infinity", "residual": sol.residual}),
-              file=sys.stderr)
+        _warn("unproven_infinity", residual=sol.residual)
     priv = regions.zero_rate_privacy(pair)
     rows = [(
         nats_to_bits(exponent),
@@ -239,22 +260,25 @@ def _run_zero_rate(pair, params, seed):
 def _run_simulate(pair, params, seed):
     n, trials = params.pop("n", 4), params.pop("trials", 10000)
     privacy, mc_trials = params.pop("privacy", "none"), params.pop("privacy_trials", 2000)
-    cfg = schemes.SchemeConfig(**{"scheme": "zero_rate", **params})
-    scheme = cfg.scheme
-    extra = sorted(params.keys() - SCHEME_KEYS[scheme])
+    # a key of another scheme is named before SchemeConfig checks its value;
+    # an unknown scheme is SchemeConfig's error
+    scheme = params.setdefault("scheme", "zero_rate")
+    extra = sorted(params.keys() - SCHEME_KEYS[scheme]) if scheme in SCHEME_KEYS else []
     if extra:
         raise ExperimentError(f"scheme {scheme!r} takes no parameter {extra[0]!r}; "
                               f"it accepts {sorted(SCHEME_KEYS[scheme])}")
+    cfg = schemes.SchemeConfig(**params)
     if cfg.w_channel is not None and cfg.w_channel.input_size != pair.u_size():
         raise ExperimentError(f"w_channel needs {pair.u_size()} rows, one per letter of U; "
                               f"got {cfg.w_channel.input_size} rows")
     # the likelihood encoder tests u-typicality at delta' = delta/2
     _warn_empty_typical_set(pair, n, cfg.delta_prime if scheme == "likelihood" else cfg.delta)
     built = schemes.make_scheme(cfg, pair, n, seed)
+    if built.codebook is None:
+        _warn_vacuous_test(pair, cfg)
     # with identity binning the message names the codeword: no bin is decoded
-    if built.codebook is not None and built.codebook.identity_binning:
-        print(json.dumps({"warning": "inactive_binning", "n": n, "codewords": built.codebook.size,
-                          "rate_nats": cfg.rate_nats}), file=sys.stderr)
+    elif built.codebook.identity_binning:
+        _warn("inactive_binning", n=n, codewords=built.codebook.size, rate_nats=cfg.rate_nats)
     stats = schemes.run_trials(cfg, pair, n, trials, seed)
     rows = [(
         "trials", scheme, n, trials, seed, stats.type1_errors,
@@ -275,8 +299,7 @@ def _run_simulate(pair, params, seed):
             else:
                 rep = adversary.mc_privacy_estimate(model, pair, n, hyp, mc_trials, seed)
                 if rep.biased:
-                    print(json.dumps({"warning": "biased_privacy_estimate", "n": n,
-                                      "hypothesis": hyp}), file=sys.stderr)
+                    _warn("biased_privacy_estimate", n=n, hypothesis=hyp)
                 dist = rep.causal_distortion_per_letter
                 row_tail = (hyp, nats_to_bits(rep.equivocation_per_letter),
                             dist if dist is not None else "", False)
@@ -294,6 +317,7 @@ def _run_counterexample(pair, params, seed):
     points = adversary.counterexample_curve(pair, eps, n_list, delta=delta)
     for n in n_list:
         _warn_empty_typical_set(pair, n, delta)
+    _warn_vacuous_test(pair, schemes.SchemeConfig("timeshare", delta=delta))
     rows = [
         (pt.n, pt.alpha_exact, nats_to_bits(pt.equivocation_per_letter),
          nats_to_bits(pt.weak_converse_level), nats_to_bits(pt.no_message_level))

@@ -190,6 +190,17 @@ class Channel:
     def output_size(self) -> int:
         return int(self.rows.shape[1])
 
+    def attach(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """The law ``x`` joined to this channel from its U axis ``axis``:
+        x[..., u] P(w | u), with W appended as the last axis."""
+        axis = range(x.ndim)[axis]
+        if x.shape[axis] != self.input_size:
+            raise ValueError(f"auxiliary channel input size {self.input_size} "
+                             f"!= |U| = {x.shape[axis]}")
+        shape = [1] * x.ndim + [self.output_size]
+        shape[axis] = self.input_size
+        return x[..., None] * self.rows.reshape(shape)
+
 
 @dataclass(frozen=True)
 class SequenceSample:

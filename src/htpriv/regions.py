@@ -514,20 +514,10 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
 # exponent terms of the general inner bound
 # ---------------------------------------------------------------------------
 
-def _channel_rows(pair: HypothesisPair, w_channel: Channel) -> np.ndarray:
-    """The rows of an auxiliary channel from U, checked against |U| before
-    any product broadcasts them."""
-    if w_channel.input_size != pair.u_size():
-        raise ValueError(f"auxiliary channel input size {w_channel.input_size} "
-                         f"!= |U| = {pair.u_size()}")
-    return w_channel.rows
-
-
 def _coupling_frame(pair: HypothesisPair, w_channel: Channel) -> tuple[np.ndarray, np.ndarray]:
     """The (U, V, W) laws of the null and of the reference for both KL
     programs: each hypothesis's (U, V) law, S summed out, through the channel."""
-    rows = _channel_rows(pair, w_channel)
-    return tuple(pair.uv_law(h)[:, :, None] * rows[:, None, :] for h in (0, 1))
+    return tuple(w_channel.attach(pair.uv_law(h), 0) for h in (0, 1))
 
 
 def exponent_e1_solution(pair: HypothesisPair, w_channel: Channel) -> CouplingSolution:
@@ -589,9 +579,8 @@ def _privacy_level(x: np.ndarray, cond: tuple[int, ...], pair: HypothesisPair,
 
 def _theorem_point(pair: HypothesisPair, w_channel: Channel, rate: float,
                    kind: str) -> TradeoffPoint:
-    rows = _channel_rows(pair, w_channel)
     # (S, U, V, W) under each hypothesis
-    p_suvw, q_suvw = (law[..., None] * rows[None, :, None, :] for law in pair.suv)
+    p_suvw, q_suvw = (w_channel.attach(law, 1) for law in pair.suv)
     needed = (cond_entropy_of_array(p_suvw, (3,), (2,))
               - cond_entropy_of_array(p_suvw, (3,), (1, 2)))
     feasible = rate >= needed - 1e-12
@@ -626,11 +615,8 @@ def _taci_array(p_suyz: JointPmf) -> np.ndarray:
 def taci_point(p_suyz: JointPmf, w_channel: Channel) -> TaciPoint:
     """Region coordinates for one auxiliary channel: required rate I(W;U|Z),
     exponent I(W;Y|Z), null-hypothesis equivocation H(S|W,Y,Z).  All nats."""
-    p = _taci_array(p_suyz)
-    if w_channel.input_size != p.shape[1]:
-        raise ValueError(f"channel input size {w_channel.input_size} != |U| = {p.shape[1]}")
     # (S, U, Y, Z, W)
-    x = p[..., None] * w_channel.rows[None, :, None, None, :]
+    x = w_channel.attach(_taci_array(p_suyz), 1)
     h_w_z = cond_entropy_of_array(x, (4,), (3,))
     return TaciPoint(
         rate_needed=h_w_z - cond_entropy_of_array(x, (4,), (1, 3)),

@@ -36,7 +36,7 @@ from .probcore import (
     type_counts,
     typical_rows,
 )
-from .regions import HypothesisPair, _channel_rows
+from .regions import HypothesisPair
 
 __all__ = [
     "Codebook",
@@ -139,9 +139,9 @@ def build_codebook(p_uw: np.ndarray, n: int, eta: float, rate: float, seed: int)
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be > 0")
-    if rate < 0:
+    if not rate >= 0:
         raise ValueError("rate must be >= 0")
     cb = Codebook(n, p_uw, np.zeros((0, n), np.int64), np.zeros(0, np.int64), 0, True)  # undrawn
     p_w, i_uw = cb.p_w, cb.mutual_info_uw
@@ -363,6 +363,10 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
+        if not (math.isfinite(self.rate_nats) and self.rate_nats >= 0):
+            raise ValueError(f"rate_nats must be finite and >= 0, got {self.rate_nats!r}")
 
     @property
     def delta_prime(self) -> float:
@@ -412,10 +416,9 @@ def make_scheme(config: SchemeConfig, pair: HypothesisPair, n: int, seed: int) -
     nu, nv = p_uv.shape
     p_u = Pmf(p_uv.sum(axis=1))
     if config.scheme == "likelihood":
-        rows = (np.eye(nu) if config.w_channel is None
-                else _channel_rows(pair, config.w_channel))
-        cb = build_codebook(p_u.probs[:, None] * rows, n, config.eta, config.rate_nats, seed)
-        return likelihood_scheme(cb, rows.T @ p_uv, config)
+        w = config.w_channel or Channel(np.eye(nu))
+        cb = build_codebook(w.attach(p_u.probs, 0), n, config.eta, config.rate_nats, seed)
+        return likelihood_scheme(cb, w.rows.T @ p_uv, config)
     if config.scheme == "zero_rate":
         p_v = p_uv.sum(axis=0)
 

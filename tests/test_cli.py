@@ -13,10 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htpriv import instances, regions, schemes
+from htpriv import cli, instances, regions, schemes
 from htpriv.cli import PARAM_KEYS, SCHEME_KEYS, main, validate_instance
 from htpriv.probcore import Channel, JointPmf, binary_entropy
 from htpriv.regions import FrontierConfig, HypothesisPair
+
+
+def stderr_records(err):
+    """Each stderr line parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return [json.loads(line, parse_constant=reject) for line in err.splitlines()]
 
 
 def read_rows(path):
@@ -256,7 +263,7 @@ class TestSimulateAndZeroRate:
         rc = main(["run", "--experiment", "zero_rate", "--instance", str(inst),
                    "--out", str(out)])
         assert rc == 0
-        warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        warnings = stderr_records(capsys.readouterr().err)
         assert [w["warning"] for w in warnings] == (["unproven_infinity"] if warned else [])
         assert all(w["residual"] > 1e-11 for w in warnings)
         _, rows = read_rows(out)
@@ -328,7 +335,7 @@ class TestSimulateAndZeroRate:
         rc = main(argv + [a for p in params for a in ("--param", p)])
         assert rc == 0
         err = capsys.readouterr().err
-        assert [json.loads(line) for line in err.splitlines()] == ([warning] if warning else [])
+        assert stderr_records(err) == ([warning] if warning else [])
         header, rows = read_rows(out)
         assert len(rows) == 1 and rows[0][0] == "trials"
 
@@ -344,7 +351,7 @@ class TestSimulateAndZeroRate:
                    "--param", "privacy=mc", "--param", "privacy_trials=20"])
         assert rc == 0
         err = capsys.readouterr().err
-        assert [json.loads(line) for line in err.splitlines()] == [
+        assert stderr_records(err) == [
             {"warning": "biased_privacy_estimate", "n": 13, "hypothesis": h} for h in (0, 1)]
         header, rows = read_rows(out)
         priv = [dict(zip(header, r)) for r in rows if r[0] == "privacy"]
@@ -386,7 +393,7 @@ class TestSimulateAndZeroRate:
         cfg = schemes.SchemeConfig(scheme="likelihood", delta=0.3, rate_nats=5.0)
         cb = schemes.make_scheme(cfg, pair, 6, 3).codebook
         assert cb.identity_binning
-        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+        assert stderr_records(capsys.readouterr().err) == [
             {"warning": "inactive_binning", "n": 6, "codewords": cb.size, "rate_nats": 5.0}]
         header, rows = read_rows(out)
         stats = dict(zip(header, rows[0]))
@@ -396,6 +403,40 @@ class TestSimulateAndZeroRate:
         # at the default rate of 1 nat the codebook is binned, and nothing is printed
         rc, _ = self.simulate_likelihood(tmp_path, "binned.csv")
         assert rc == 0 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("param", ["rate_nats=nan", "rate_nats=inf", "rate_nats=-1",
+                                       "eta=nan", "eta=inf", "eta=0"])
+    def test_likelihood_knob_out_of_range_fails(self, tmp_path, capsys, param):
+        # a NaN rate would run an unbinned codebook and warn "rate_nats": NaN
+        rc, out = self.simulate_likelihood(tmp_path, "bad.csv", param)
+        assert rc == 1
+        assert not out.exists()
+        (rec,) = stderr_records(capsys.readouterr().err)
+        assert rec["error"] == "ValueError" and param.split("=")[0] in rec["message"]
+
+    @pytest.mark.parametrize("scheme, instance, delta, warned", [
+        # Q_U = (0.8, 0.2) against P_U = (0.5, 0.5); Q_V is within 0.09 of P_V
+        ("zero_rate", "zero_rate_binary.json", 0.29, False),
+        ("zero_rate", "zero_rate_binary.json", 0.3, True),
+        # every cell of Q_UV is within 0.125 of P_UV, and Q_U = P_U
+        ("timeshare", "counterexample_binary.json", 0.2, True),
+        ("timeshare", "counterexample_binary.json", 0.05, False),
+        # the likelihood detector has no fixed acceptance box
+        ("likelihood", "counterexample_binary.json", 0.2, False),
+    ])
+    def test_vacuous_test_warning(self, tmp_path, capsys, scheme, instance, delta, warned):
+        out = tmp_path / "sim.csv"
+        rc = main(["run", "--experiment", "simulate", "--instance",
+                   str(ROOT / "instances" / instance), "--out", str(out),
+                   "--param", f"scheme={scheme}", "--param", f"delta={delta}",
+                   "--param", "trials=100"])
+        assert rc == 0
+        warning = {"warning": "vacuous_test", "scheme": scheme, "delta": delta}
+        assert stderr_records(capsys.readouterr().err) == ([warning] if warned else [])
+
+    def test_warning_with_a_non_finite_field_is_an_error(self):
+        with pytest.raises(ValueError):
+            cli._warn("inactive_binning", rate_nats=math.nan)
 
     def test_identity_w_channel_is_the_default(self, tmp_path):
         rc, default = self.simulate_likelihood(tmp_path, "default.csv")
@@ -499,12 +540,23 @@ class TestCounterexampleExperiment:
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["error"] == "ValueError" and "delta" in rec["message"]
 
+    @pytest.mark.parametrize("delta, warned", [(0.2, True), (0.05, False)])
+    def test_vacuous_test_warning(self, tmp_path, capsys, delta, warned):
+        # the timeshare detector accepts within 2 delta of P_UV in every cell,
+        # and every cell of Q_UV lies within 0.125 of P_UV
+        rc, out = self.run_counterexample(tmp_path, "n_list=2,4", f"delta={delta}")
+        assert rc == 0
+        warning = {"warning": "vacuous_test", "scheme": "timeshare", "delta": delta}
+        assert stderr_records(capsys.readouterr().err) == ([warning] if warned else [])
+        _, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["2", "4"]
+
     def test_empty_typical_set_warning(self, tmp_path, capsys):
         # no block of 3 letters is within 0.01 of P_U; at n=4 one is
         rc, out = self.run_counterexample(tmp_path, "n_list=3,4", "delta=0.01")
         assert rc == 0
         err = capsys.readouterr().err
-        assert [json.loads(line) for line in err.splitlines()] == [
+        assert stderr_records(err) == [
             {"warning": "empty_typical_set", "n": 3, "delta": 0.01}]
         _, rows = read_rows(out)
         assert [r[0] for r in rows] == ["3", "4"]
@@ -824,5 +876,8 @@ class TestReadmeCsvs:
         if experiment == "frontier":
             argv += ["--param", "random_seeds=10"]
         assert main(argv) == 0
-        assert capsys.readouterr().err == ""
+        # at delta = 0.2 every cell of Q_UV lies within 2 delta of P_UV
+        vacuous = {"warning": "vacuous_test", "scheme": "timeshare", "delta": 0.2}
+        assert stderr_records(capsys.readouterr().err) == \
+            ([vacuous] if experiment == "counterexample" else [])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[experiment]

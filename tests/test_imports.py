@@ -58,3 +58,21 @@ def test_evaluators_resolve_no_axis_names_per_call():
         assert not [m for m in measures if hasattr(module, m)], f"htpriv.{name} imports one"
         calls = call.findall(inspect.getsource(module))
         assert not calls, f"htpriv.{name} calls {calls}"
+
+
+def test_channel_rows_are_joined_to_a_law_only_by_channel_attach():
+    # Channel.attach is the one join of a law to a test channel; attach_channel
+    # stays as the named reference the tests compare it with.  No module
+    # reaches into the private names of regions.
+    broadcast = re.compile(r"rows(\[None|\[:, None|\.reshape)")
+    reference = inspect.getsource(importlib.import_module("htpriv.regions").attach_channel)
+    for info in pkgutil.iter_modules(htpriv.__path__):
+        module = importlib.import_module(f"htpriv.{info.name}")
+        if info.name != "regions":
+            private = [name for name, obj in vars(module).items() if name.startswith("_")
+                       and getattr(obj, "__module__", None) == "htpriv.regions"]
+            assert not private, f"htpriv.{info.name} imports {private} from regions"
+        source = inspect.getsource(module)
+        if info.name != "probcore":
+            found = broadcast.findall(source.replace(reference, ""))
+            assert not found, f"htpriv.{info.name} broadcasts channel rows: {found}"

@@ -34,9 +34,9 @@ from htpriv.probcore import (
     type_counts,
     typical_rows,
 )
-from htpriv.regions import HypothesisPair
+from htpriv.regions import HypothesisPair, attach_channel
 
-from conftest import MASTER_SEED, PROPERTY_CASES, random_joint, random_pmf
+from conftest import MASTER_SEED, PROPERTY_CASES, random_channel, random_joint, random_pmf
 
 # hand evaluation of -(1/4) ln(1/4) - (3/4) ln(3/4)
 H_QUARTER = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
@@ -357,6 +357,34 @@ class TestSerialization:
         for key in ("p_suv", "q_suv"):
             assert rec[key]["axes"] == [{"name": "S", "size": 2}, {"name": "U", "size": 1}]
             assert rec[key]["probs"] == [0.25, 0.75]
+
+
+class TestChannelAttach:
+    def test_attach_is_the_broadcast_product_at_every_axis(self):
+        rng = np.random.default_rng(MASTER_SEED + 91)
+        for ndim in range(1, 6):
+            for axis in range(ndim):
+                shape = tuple(int(k) for k in rng.integers(1, 4, ndim))
+                x = random_joint(rng, shape).probs
+                chan = random_channel(rng, shape[axis], int(rng.integers(1, 4)))
+                got = chan.attach(x, axis)
+                assert got.shape == shape + (chan.output_size,)
+                # U moved last, joined to the rows, then moved back: W stays last
+                want = np.moveaxis(np.moveaxis(x, axis, -1)[..., None] * chan.rows, -2, axis)
+                np.testing.assert_array_equal(got, want)
+                k = shape[axis]
+                with pytest.raises(ValueError,
+                                   match=rf"auxiliary channel input size {k + 1} != \|U\| = {k}"):
+                    random_channel(rng, k + 1, 2).attach(x, axis)
+
+    def test_attach_channel_reference_is_bit_identical(self):
+        rng = np.random.default_rng(MASTER_SEED + 92)
+        for names in (("U",), ("S", "U", "V"), ("Y", "Z", "U", "S")):
+            joint = random_joint(rng, tuple(int(k) for k in rng.integers(2, 4, len(names))),
+                                 names=names)
+            chan = random_channel(rng, joint.axis_size("U"), 3)
+            np.testing.assert_array_equal(attach_channel(joint, chan).probs,
+                                          chan.attach(joint.probs, joint.axis_index("U")))
 
 
 class TestValidation:

@@ -96,6 +96,14 @@ class TestBuildCodebook:
         with pytest.raises(CodebookSizeError):
             build_codebook(COPY_UW, n=100, eta=0.05, rate=1.0, seed=0)
 
+    @pytest.mark.parametrize("knob, value", [("eta", 0.0), ("eta", math.nan),
+                                             ("rate", -1.0), ("rate", math.nan)])
+    def test_knob_out_of_range_is_value_error(self, knob, value):
+        # written as "not eta > 0" and "not rate >= 0", so that NaN fails too
+        kw = {"n": 4, "eta": 0.05, "rate": 1.0, "seed": 0, knob: value}
+        with pytest.raises(ValueError, match=f"{knob} must be"):
+            build_codebook(COPY_UW, **kw)
+
     def test_size_cap_is_the_module_constant(self, monkeypatch):
         # exp(4 (log 2 + 0.05)) is about 19.5 codewords
         kw = dict(n=4, eta=0.05, rate=1.0, seed=0)
