@@ -173,14 +173,19 @@ class Channel:
         a = np.asarray(self.rows, dtype=float)
         if a.ndim != 2 or a.size == 0:
             raise ValueError("Channel requires a nonempty 2-d row-stochastic matrix")
-        for i, row in enumerate(a):
+        clipped = np.maximum(a, 0.0)
+        # the check of _as_prob_array on every row at once: a row is bad with
+        # an entry below -MASS_TOL or a clipped sum off 1, NaN and inf too.
+        # Each row is summed as one contiguous run, in the order of a 1-d sum.
+        dev = np.abs(np.ascontiguousarray(clipped).sum(axis=1) - 1.0)
+        if not (a.min() >= -MASS_TOL and dev.max() <= MASS_TOL):
+            i = int(((a < -MASS_TOL).any(axis=1) | ~(dev <= MASS_TOL)).argmax())
             try:
-                _as_prob_array(row)
+                _as_prob_array(a[i])
             except ValueError as e:
                 raise ValueError(f"channel row {i} invalid: {e}") from e
-        a = np.maximum(a, 0.0)
-        a.flags.writeable = False
-        object.__setattr__(self, "rows", a)
+        clipped.flags.writeable = False
+        object.__setattr__(self, "rows", clipped)
 
     @property
     def input_size(self) -> int:

@@ -409,6 +409,24 @@ def _grad_neg_cond_entropy(x: np.ndarray, target, given) -> np.ndarray:
     return np.where(np.isfinite(lc), lc, 0.0)
 
 
+def _entropy_floor(spec, ndim: int) -> tuple[tuple[int, ...], tuple[int, ...], float] | None:
+    """The entropy floor ``spec`` as (target, given, floor) with tuple axes, or
+    None without one.  Raises ValueError unless the target is nonempty, the
+    target and given axes are distinct positions of an ``ndim``-axis
+    reference, and the floor is finite."""
+    if spec is None:
+        return None
+    target, given, floor = spec
+    target, given = tuple(target), tuple(given)
+    axes = target + given
+    if (not target or len(set(axes)) != len(axes) or not all(0 <= a < ndim for a in axes)
+            or not math.isfinite(floor)):
+        raise ValueError(f"entropy_floor {spec} needs a nonempty target, target and given "
+                         f"axes that are distinct positions of a {ndim}-axis reference, "
+                         f"and a finite floor")
+    return target, given, floor
+
+
 def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     """Solve the constrained KL minimization.
 
@@ -450,22 +468,24 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     apart.  Mutually inconsistent targets, or one that is not a pmf, raise
     :class:`InfeasibleConstraintsError`; no constraint at all, a reference
     that is not a pmf (finite, nonnegative, of mass 1 within 1e-9), a
-    repeated or out-of-range axis, or a target of the wrong shape raises
+    repeated or out-of-range axis, a target of the wrong shape, or an
+    entropy floor whose target is empty, whose axes are not distinct
+    positions of the reference, or whose floor is not finite raises
     ValueError.
     """
     plan = _Plan(problem.reference, problem.marginal_constraints)
     ref = plan.ref
+    floor_spec = _entropy_floor(problem.entropy_floor, ref.ndim)
 
     x, res, stop = _ipf(ref, plan)
     # an empty slice always leaves a residual above the tolerance
     if stop == "certificate" or res > _RESIDUAL_TOL:
         return CouplingSolution(math.inf, None, res, 0.0, 0.0, stop, plan.sweeps)
 
-    if problem.entropy_floor is None:
+    if floor_spec is None:
         return CouplingSolution(kl_of_arrays(x, ref), x, res, 0.0, 0.0, stop, plan.sweeps)
 
-    target, given, floor = problem.entropy_floor
-    target, given = tuple(target), tuple(given)
+    target, given, floor = floor_spec
     h = cond_entropy_of_array(x, target, given)
     if h >= floor - _INACTIVE_TOL:
         return CouplingSolution(kl_of_arrays(x, ref), x, res, h - floor, 0.0, stop, plan.sweeps)
@@ -535,9 +555,10 @@ def exponent_e1(pair: HypothesisPair, w_channel: Channel) -> float:
 def exponent_e2_solution(rate: float, pair: HypothesisPair,
                          w_channel: Channel) -> tuple[float, CouplingSolution | None]:
     """Second exponent term (binning error): +inf unless I_P(U;W) > rate, else the
-    KL minimum over the relaxed set plus the rate penalty (rate - I_P(U;W|V))."""
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
+    KL minimum over the relaxed set plus the rate penalty (rate - I_P(U;W|V)).
+    A rate that is not >= 0, NaN included, raises ValueError; rate +inf gives +inf."""
+    if not rate >= 0:   # NaN too
+        raise ValueError(f"rate must be >= 0, got {rate}")
     p_uvw, ref = _coupling_frame(pair, w_channel)
     i_uw = cond_entropy_of_array(p_uvw, (0,), ()) - cond_entropy_of_array(p_uvw, (0,), (2,))
     if i_uw <= rate:
@@ -612,17 +633,22 @@ def _taci_array(p_suyz: JointPmf) -> np.ndarray:
     return p_suyz.marginal_array(("S", "U", "Y", "Z"))
 
 
-def taci_point(p_suyz: JointPmf, w_channel: Channel) -> TaciPoint:
-    """Region coordinates for one auxiliary channel: required rate I(W;U|Z),
-    exponent I(W;Y|Z), null-hypothesis equivocation H(S|W,Y,Z).  All nats."""
+def _taci_coords(x_suyz: np.ndarray, w_channel: Channel) -> TaciPoint:
+    """:func:`taci_point` of the law already laid out as an (S, U, Y, Z) array."""
     # (S, U, Y, Z, W)
-    x = w_channel.attach(_taci_array(p_suyz), 1)
+    x = w_channel.attach(x_suyz, 1)
     h_w_z = cond_entropy_of_array(x, (4,), (3,))
     return TaciPoint(
         rate_needed=h_w_z - cond_entropy_of_array(x, (4,), (1, 3)),
         exponent=h_w_z - cond_entropy_of_array(x, (4,), (2, 3)),
         equivocation0=cond_entropy_of_array(x, (0,), (2, 3, 4)),
     )
+
+
+def taci_point(p_suyz: JointPmf, w_channel: Channel) -> TaciPoint:
+    """Region coordinates for one auxiliary channel: required rate I(W;U|Z),
+    exponent I(W;Y|Z), null-hypothesis equivocation H(S|W,Y,Z).  All nats."""
+    return _taci_coords(_taci_array(p_suyz), w_channel)
 
 
 def taci_alternate_law(p_suyz: JointPmf, q_s_given_uyz: np.ndarray) -> JointPmf:
@@ -658,7 +684,7 @@ class FrontierConfig:
     and the |W| values searched.  Each |W| is also seeded with
     ``_INTERPOLATIONS`` structured channels, and a binary source with
     |W| = 2 with a fixed crossover grid of ``_PAIR_GRID`` points per axis.
-    A negative ``random_seeds`` and |W| < 1 raise ValueError."""
+    A negative ``random_seeds``, |W| < 1 and a repeated |W| raise ValueError."""
 
     random_seeds: int = 200
     rng_seed: int = 0
@@ -667,9 +693,10 @@ class FrontierConfig:
     def __post_init__(self):
         if self.random_seeds < 0:
             raise ValueError(f"random_seeds must be >= 0, got {self.random_seeds}")
-        if self.w_sizes is not None and (not self.w_sizes or min(self.w_sizes) < 1):
-            raise ValueError(f"w_sizes must be None or non-empty with entries >= 1, "
-                             f"got {self.w_sizes}")
+        if self.w_sizes is not None and (not self.w_sizes or min(self.w_sizes) < 1
+                                         or len(set(self.w_sizes)) != len(self.w_sizes)):
+            raise ValueError(f"w_sizes must be None or non-empty with distinct entries "
+                             f">= 1, got {self.w_sizes}")
 
 
 # structured channels per |W|: interpolations from a labeling to the uniform row
@@ -745,7 +772,8 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
     by :func:`taci_point`.
     """
     cfg = config or FrontierConfig()
-    nu = _taci_array(p_suyz).shape[1]
+    p = _taci_array(p_suyz)
+    nu = p.shape[1]
     q = taci_alternate_law(p_suyz, q_s_given_uyz)
     lambda_min = cond_entropy_of_array(q.probs, (0,), (1, 2, 3))
     w_sizes = tuple(range(1, nu + 3)) if cfg.w_sizes is None else cfg.w_sizes
@@ -753,7 +781,7 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
 
     def evaluate(rows: np.ndarray) -> TradeoffPoint:
         chan = Channel(rows)
-        tp = taci_point(p_suyz, chan)
+        tp = _taci_coords(p, chan)
         return TradeoffPoint(tp.rate_needed, tp.exponent, tp.equivocation0,
                              lambda_min, "equivocation", channel=chan)
 

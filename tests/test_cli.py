@@ -122,7 +122,7 @@ class TestFrontierExperiment:
 
 
     @pytest.mark.parametrize("param, field", [
-        ("w_sizes=0", "w_sizes"), ("w_sizes=2,-1", "w_sizes"),
+        ("w_sizes=0", "w_sizes"), ("w_sizes=2,-1", "w_sizes"), ("w_sizes=2,2", "w_sizes"),
         ("random_seeds=-3", "random_seeds"),
     ])
     def test_bad_search_size_fails(self, tmp_path, capsys, param, field):

@@ -34,6 +34,7 @@ from htpriv.probcore import (
     type_counts,
     typical_rows,
 )
+from htpriv.probcore import _as_prob_array
 from htpriv.regions import HypothesisPair, attach_channel
 
 from conftest import MASTER_SEED, PROPERTY_CASES, random_channel, random_joint, random_pmf
@@ -385,6 +386,88 @@ class TestChannelAttach:
             chan = random_channel(rng, joint.axis_size("U"), 3)
             np.testing.assert_array_equal(attach_channel(joint, chan).probs,
                                           chan.attach(joint.probs, joint.axis_index("U")))
+
+
+class TestChannelRowCheck:
+    """Channel checks its rows in one pass; it must accept, store and reject
+    exactly what the check of each row on its own did."""
+
+    @staticmethod
+    def per_row(rows) -> np.ndarray:
+        """The row-at-a-time check: the rows it stores, or its ValueError."""
+        a = np.asarray(rows, dtype=float)
+        for i, row in enumerate(a):
+            try:
+                _as_prob_array(row)
+            except ValueError as e:
+                raise ValueError(f"channel row {i} invalid: {e}") from e
+        return np.maximum(a, 0.0)
+
+    @staticmethod
+    def random_row(rng, width) -> np.ndarray:
+        row = rng.gamma(1.0, 1.0, width)
+        row /= row.sum()
+        j = int(rng.integers(width))
+        kind = int(rng.integers(6))
+        if kind == 1:     # mass just inside or just outside the tolerance
+            row[j] += rng.choice([0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12])
+        elif kind == 2:   # an entry just inside or just outside -MASS_TOL
+            row[j] = rng.choice([-0.9e-12, -1.1e-12])
+        elif kind == 3:
+            row[j] = rng.choice([math.nan, math.inf, -math.inf])
+        elif kind == 4:
+            row[:] = 0.0
+        return row
+
+    def assert_same(self, rows):
+        try:
+            want = self.per_row(rows)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                Channel(rows)
+            assert str(got.value) == str(e)
+            return False
+        got = Channel(rows).rows
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        return True
+
+    def test_random_rows_match_the_per_row_check(self):
+        rng = np.random.default_rng(MASTER_SEED + 93)
+        outcomes = []
+        for _ in range(2000):
+            width = int(rng.integers(1, 7))
+            rows = np.array([self.random_row(rng, width)
+                             for _ in range(int(rng.integers(1, 5)))])
+            outcomes.append(self.assert_same(rows))
+        assert 200 < sum(outcomes) < len(outcomes) - 200
+
+    def test_boundary_cases(self):
+        base = np.array([0.25, 0.75])
+        for delta, ok in ((0.9e-12, True), (-0.9e-12, True), (1.1e-12, False),
+                          (-1.1e-12, False)):
+            assert self.assert_same([base, base + [delta, 0.0]]) is ok
+        assert self.assert_same([[1.0 + 0.9e-12, -0.9e-12], base]) is True
+        assert self.assert_same([base, [1.0, -1.1e-12]]) is False
+        for bad in ([math.nan, 1.0], [math.inf, 0.0], [-math.inf, 1.0], [0.0, 0.0]):
+            assert self.assert_same([base, base, bad]) is False
+        with pytest.raises(ValueError, match="channel row 1 invalid: negative"):
+            Channel([base, [1.1, -0.1], [math.nan, 1.0]])
+
+    def test_integer_input(self):
+        assert self.assert_same(np.eye(3, dtype=int)) is True
+        assert self.assert_same(np.array([[1, 0], [1, 1]])) is False
+
+    def test_wide_rows_of_any_layout(self):
+        # past 8 entries numpy sums a row pairwise, and a column-major array
+        # would be summed in another order unless each row is summed alone
+        rng = np.random.default_rng(MASTER_SEED + 94)
+        for width in range(7, 40):
+            rows = rng.gamma(1.0, 1.0, (5, width))
+            rows /= rows.sum(axis=1, keepdims=True)
+            rows[:, 0] += rng.choice([0.0, 0.9e-12, 1.1e-12, -1.0e-12], 5)
+            for layout in (rows, np.asfortranarray(rows), rows[:, ::-1]):
+                self.assert_same(layout)
 
 
 class TestValidation:

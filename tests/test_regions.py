@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from htpriv import instances, oracle
+from htpriv import instances, oracle, regions
 from htpriv.adversary import counterexample_levels
 from htpriv.probcore import (
     Channel,
@@ -49,7 +49,7 @@ from htpriv.regions import (
     zero_rate_exponent_solution,
     zero_rate_privacy,
 )
-from htpriv.regions import _Plan, _ipf
+from htpriv.regions import _Plan, _ipf, _taci_array, _taci_coords
 
 from conftest import MASTER_SEED, random_channel, random_joint, random_pmf, random_suv_joint
 
@@ -306,6 +306,36 @@ class TestKappaStar:
         assert all(v <= exponent_e1(pair, chan) + 1e-12 for v in finite)
 
 
+class TestRateCheck:
+    """A rate that is not >= 0 raises, NaN included: min(E1, NaN) is E1, so
+    an unchecked NaN rate would read as the E1 bound."""
+
+    @staticmethod
+    def example1():
+        root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "instances")
+        pair = instances.load_instance(os.path.join(root, "example1_suv.json"))
+        return pair, Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+
+    @pytest.mark.parametrize("rate", [math.nan, -1e-300, -math.inf], ids=["nan", "neg", "neg_inf"])
+    def test_rate_that_is_not_nonnegative_is_value_error(self, rate):
+        pair, chan = self.example1()
+        for call in (lambda: exponent_e2(rate, pair, chan), lambda: kappa_star(rate, pair, chan),
+                     lambda: theorem1_point(pair, chan, rate),
+                     lambda: theorem2_point(pair, chan, rate)):
+            with pytest.raises(ValueError, match="rate must be >= 0"):
+                call()
+
+    def test_infinite_rate_is_the_e1_bound(self):
+        pair, chan = self.example1()
+        assert exponent_e2(math.inf, pair, chan) == math.inf
+        e1 = exponent_e1(pair, chan)
+        assert kappa_star(math.inf, pair, chan) == e1
+        for point in (theorem1_point, theorem2_point):
+            pt = point(pair, chan, math.inf)
+            assert pt.exponent == e1 and pt.feasible
+
+
 class TestTheoremPoints:
     def test_uninformative_auxiliary(self, rng):
         pair = HypothesisPair(random_suv_joint(rng), random_suv_joint(rng),
@@ -474,6 +504,18 @@ class TestTaciPoint:
         with pytest.raises(UnknownAxisError, match="'Z'"):
             taci_point(p, Channel(np.eye(4)))
 
+    def test_positional_coordinates_are_taci_point_bit_for_bit(self):
+        rng = np.random.default_rng(MASTER_SEED + 74)
+        root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "instances")
+        pair = instances.load_instance(os.path.join(root, "example1_taci.json"))
+        for law in (pair.p, pair.q, instances.example2_taci_joint()):
+            x = _taci_array(law)
+            for nw in (1, 2, 3, 4):
+                for _ in range(5):
+                    chan = random_channel(rng, law.axis_size("U"), nw)
+                    assert repr(taci_point(law, chan)) == repr(_taci_coords(x, chan))
+
     def test_declared_axis_order_does_not_matter(self):
         rng = np.random.default_rng(MASTER_SEED + 73)
         p = random_taci_joint(rng, nu=3)
@@ -558,6 +600,20 @@ class TestTaciFrontier:
         # None asks for the default sizes; an empty tuple asks for no search
         with pytest.raises(ValueError, match="w_sizes"):
             FrontierConfig(w_sizes=())
+
+    def test_repeated_size_is_value_error(self):
+        # (2, 2) would search |W| = 2 twice, with fresh draws
+        with pytest.raises(ValueError, match="w_sizes"):
+            FrontierConfig(w_sizes=(2, 2))
+        with pytest.raises(ValueError, match="w_sizes"):
+            FrontierConfig(w_sizes=(1, 3, 1))
+
+    def test_every_point_reproduces_through_taci_point(self):
+        joint, q_cond = self._example1_taci(0.25, 0.0)
+        for pt in taci_frontier(joint, q_cond, FrontierConfig(random_seeds=2, w_sizes=(2, 3))):
+            tp = taci_point(joint, pt.channel)
+            assert (pt.rate, pt.exponent, pt.privacy0) == (
+                tp.rate_needed, tp.exponent, tp.equivocation0)
 
     def test_conditional_over_another_s_alphabet_is_value_error(self):
         # a 3-letter Q_{S|UYZ} for a 2-letter null would make a ("S", 3) law
@@ -955,6 +1011,24 @@ class TestConstraintForm:
         problem = CouplingProblem(ref, ((axes, target),))
         with pytest.raises(ValueError, match=re.escape(f"axes {axes}")):
             solve_coupling(problem)
+
+    @pytest.mark.parametrize("floor", [
+        ((2,), (1,), math.nan),
+        ((2,), (1,), math.inf),
+        ((5,), (), 0.1),
+        ((2,), (2,), 0.1),
+        ((2, 2), (), 0.1),
+        ((), (1,), 0.1),
+    ], ids=["nan", "inf", "axis_out_of_range", "overlap", "repeated", "empty_target"])
+    def test_malformed_entropy_floor_is_value_error(self, monkeypatch, floor):
+        def no_sweep(*args):
+            raise AssertionError("an I-projection ran before the floor was checked")
+
+        monkeypatch.setattr(regions, "_ipf", no_sweep)
+        ref = np.full((2, 2, 2), 0.125)
+        cons = (((0, 2), np.full((2, 2), 0.25)), ((1,), np.full(2, 0.5)))
+        with pytest.raises(ValueError, match="entropy_floor"):
+            solve_coupling(CouplingProblem(ref, cons, entropy_floor=floor))
 
     @staticmethod
     def mixed_order_problem():
