@@ -16,13 +16,14 @@ key, a value its parser rejects (such as an empty list), a malformed instance
 file, and ``--instance`` missing or given to an experiment that reads none;
 the error names the key, file or field.  A failed run leaves the file at
 ``--out`` as it was: the CSV is written to a temp file beside it and moved
-into place only when complete.  Degenerate regimes, such as a simulated or
-counterexample scheme whose typical set is empty at some n, a likelihood
+into place only when complete.  Degenerate regimes print one strict JSON
+warning line on stderr each: a typicality box (read from ``Scheme.boxes``) of
+a simulated or counterexample scheme that holds no block at some n, a
+typicality detector whose boxes all hold the alternate law, a likelihood
 scheme whose rate is high enough that its codebook is not binned, a privacy
-estimate that fell back to the biased importance-sampling branch, a
+estimate that fell back to the biased importance-sampling branch, or a
 zero-rate exponent that is +inf only because the coupling solver ran out of
-sweeps, or a typicality detector whose acceptance box holds the alternate law,
-print one strict JSON warning line on stderr each.
+sweeps.
 """
 
 from __future__ import annotations
@@ -194,26 +195,21 @@ def _warn(kind: str, **fields) -> None:
     print(json.dumps({"warning": kind, **fields}, allow_nan=False), file=sys.stderr)
 
 
-def _warn_empty_typical_set(pair, n: int, delta: float) -> None:
-    """Warn when no u-block of length n is delta-typical, so the scheme sends
-    only the error message."""
-    if not has_typical_sequence(pair.uv_law(0).sum(axis=1), n, delta):
-        _warn("empty_typical_set", n=n, delta=delta)
-
-
-def _warn_vacuous_test(pair, cfg: schemes.SchemeConfig) -> None:
-    """Warn when a typicality detector's acceptance box holds the alternate
-    law, so that Q-typical blocks pass and beta_n does not decay.  The
-    zero-rate test's box is both marginals of P_UV within delta; the timeshare
-    test's is P_U within delta and P_UV within delta_tilde = 2 delta."""
-    p_uv, q_uv = pair.uv_law(0), pair.uv_law(1)
-    boxes = [(q_uv.sum(axis=1), p_uv.sum(axis=1), cfg.delta)]
-    if cfg.scheme == "zero_rate":
-        boxes.append((q_uv.sum(axis=0), p_uv.sum(axis=0), cfg.delta))
-    else:
-        boxes.append((q_uv.ravel(), p_uv.ravel(), cfg.delta_tilde))
-    if all(_typical_freqs(q, p, delta) for q, p, delta in boxes):
-        _warn("vacuous_test", scheme=cfg.scheme, delta=cfg.delta)
+def _warn_typicality(built, pair, name: str, delta: float) -> None:
+    """Read the typicality boxes each built scheme declares: warn once for each
+    box that holds no block of the scheme's length n, and once when every box
+    of a typicality detector (a scheme with no codebook) holds the alternate
+    law's marginal, so that Q-typical blocks pass and beta_n does not decay."""
+    for scheme in built:
+        for axes, centre, radius in scheme.boxes:
+            if not has_typical_sequence(centre, scheme.law.n, radius):
+                _warn("empty_typical_set", n=scheme.law.n, delta=radius, box=axes)
+    q_uv = pair.uv_law(1)
+    q = {"u": q_uv.sum(axis=1), "v": q_uv.sum(axis=0), "uv": q_uv.ravel()}
+    if any(scheme.codebook is None and all(_typical_freqs(q[axes], centre, radius)
+                                           for axes, centre, radius in scheme.boxes)
+           for scheme in built):
+        _warn("vacuous_test", scheme=name, delta=delta)
 
 
 def _run_frontier(pair, params, seed):
@@ -271,13 +267,10 @@ def _run_simulate(pair, params, seed):
     if cfg.w_channel is not None and cfg.w_channel.input_size != pair.u_size():
         raise ExperimentError(f"w_channel needs {pair.u_size()} rows, one per letter of U; "
                               f"got {cfg.w_channel.input_size} rows")
-    # the likelihood encoder tests u-typicality at delta' = delta/2
-    _warn_empty_typical_set(pair, n, cfg.delta_prime if scheme == "likelihood" else cfg.delta)
     built = schemes.make_scheme(cfg, pair, n, seed)
-    if built.codebook is None:
-        _warn_vacuous_test(pair, cfg)
+    _warn_typicality([built], pair, scheme, cfg.delta)
     # with identity binning the message names the codeword: no bin is decoded
-    elif built.codebook.identity_binning:
+    if built.codebook is not None and built.codebook.identity_binning:
         _warn("inactive_binning", n=n, codewords=built.codebook.size, rate_nats=cfg.rate_nats)
     stats = schemes.run_trials(cfg, pair, n, trials, seed)
     rows = [(
@@ -315,9 +308,9 @@ def _run_counterexample(pair, params, seed):
     eps, delta = params.get("epsilon_star", 0.25), params.get("delta", 0.1)
     n_list = params.get("n_list", (2, 4, 6))
     points = adversary.counterexample_curve(pair, eps, n_list, delta=delta)
-    for n in n_list:
-        _warn_empty_typical_set(pair, n, delta)
-    _warn_vacuous_test(pair, schemes.SchemeConfig("timeshare", delta=delta))
+    cfg = schemes.SchemeConfig("timeshare", delta=delta, epsilon_star=eps)
+    _warn_typicality([schemes.make_scheme(cfg, pair, n, 0) for n in n_list], pair,
+                     "timeshare", delta)
     rows = [
         (pt.n, pt.alpha_exact, nats_to_bits(pt.equivocation_per_letter),
          nats_to_bits(pt.weak_converse_level), nats_to_bits(pt.no_message_level))

@@ -229,12 +229,15 @@ class Scheme:
 
     ``accepts(codes, vblocks)`` maps B message codes and a (B, n) array of
     (flattened) v-blocks to B booleans, True where the detector accepts the
-    null.
+    null.  ``boxes`` are the typicality tests the scheme makes on the (u, v)
+    letter type, each ``(axes, centre, radius)`` with axes "u", "v" or "uv"
+    (cell u |V| + v): the encoder's u box first, then a typicality detector's.
     """
 
     law: MessageLaw
     accepts: Callable[[np.ndarray, np.ndarray], np.ndarray]
     codebook: Codebook | None = None   # the likelihood scheme's; None for the others
+    boxes: tuple[tuple[str, np.ndarray, float], ...] = ()
 
 
 def chunk_rows(count: int, row_cells: int) -> Iterator[slice]:
@@ -387,7 +390,8 @@ def likelihood_scheme(cb: Codebook, p_wv: np.ndarray, config: SchemeConfig) -> S
     min-entropy decoding in its bin succeeds, and the decoded codeword is
     jointly delta_tilde-typical with v for P_WV.  Each step runs on every
     (message, v-block) pair of a call at once."""
-    law = likelihood_law(cb, config.delta_prime)
+    delta_prime = config.delta_prime
+    law = likelihood_law(cb, delta_prime)
     n, nv = cb.n, p_wv.shape[1]
 
     def accepts(codes, vblocks):
@@ -403,7 +407,7 @@ def likelihood_scheme(cb: Codebook, p_wv: np.ndarray, config: SchemeConfig) -> S
                                  config.delta_tilde)
         return out
 
-    return Scheme(law, accepts, cb)
+    return Scheme(law, accepts, cb, (("u", cb.p_uw.sum(axis=1), delta_prime),))
 
 
 def make_scheme(config: SchemeConfig, pair: HypothesisPair, n: int, seed: int) -> Scheme:
@@ -414,27 +418,30 @@ def make_scheme(config: SchemeConfig, pair: HypothesisPair, n: int, seed: int) -
         raise ValueError("n must be >= 1")
     p_uv = pair.uv_law(0)
     nu, nv = p_uv.shape
-    p_u = Pmf(p_uv.sum(axis=1))
+    p_u, delta = Pmf(p_uv.sum(axis=1)), config.delta
     if config.scheme == "likelihood":
         w = config.w_channel or Channel(np.eye(nu))
         cb = build_codebook(w.attach(p_u.probs, 0), n, config.eta, config.rate_nats, seed)
         return likelihood_scheme(cb, w.rows.T @ p_uv, config)
+    u_box = ("u", p_u.probs, delta)
     if config.scheme == "zero_rate":
-        p_v = p_uv.sum(axis=0)
+        box = ("v", p_uv.sum(axis=0), delta)
 
         def accepts(codes, vblocks):
-            return (codes == 1) & typical_rows(vblocks, p_v, config.delta)
+            return (codes == 1) & typical_rows(vblocks, *box[1:])
 
-        return Scheme(zero_rate_law(p_u, n, config.delta), accepts)
+        return Scheme(zero_rate_law(p_u, n, delta), accepts, boxes=(u_box, box))
+
+    box = ("uv", p_uv.ravel(), config.delta_tilde)
 
     def accepts(codes, vblocks):
         # the kept message identifies the u-block; accept iff (u, v) is
         # jointly delta_tilde-typical for the null joint law
         ublocks = block_digits(np.maximum(codes - 1, 0), nu, n)
-        joint = typical_rows(ublocks * nv + vblocks, p_uv.ravel(), config.delta_tilde)
-        return (codes > 0) & joint
+        return (codes > 0) & typical_rows(ublocks * nv + vblocks, *box[1:])
 
-    return Scheme(timeshare_law(p_u, n, config.delta, config.epsilon_star), accepts)
+    return Scheme(timeshare_law(p_u, n, delta, config.epsilon_star), accepts,
+                  boxes=(u_box, box))
 
 
 # ---------------------------------------------------------------------------

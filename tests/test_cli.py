@@ -319,14 +319,17 @@ class TestSimulateAndZeroRate:
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["error"] == "ExperimentError" and repr(value) in rec["message"]
 
-    @pytest.mark.parametrize("scheme,params,warning", [
-        # the typical set is empty below the 1/3 type resolution at n=3; the
-        # likelihood encoder tests typicality at delta' = delta/2
-        ("zero_rate", ["n=3"], {"warning": "empty_typical_set", "n": 3, "delta": 0.05}),
-        ("likelihood", ["n=3"], {"warning": "empty_typical_set", "n": 3, "delta": 0.025}),
-        ("zero_rate", ["n=6", "delta=0.15"], None),          # the README command
+    @pytest.mark.parametrize("scheme,params,warnings", [
+        # each box is empty below the 1/3 type resolution at n=3: the zero-rate
+        # scheme's u and v boxes at delta, the likelihood encoder's u box at
+        # delta' = delta/2
+        ("zero_rate", ["n=3"], [{"warning": "empty_typical_set", "n": 3, "delta": 0.05,
+                                 "box": box} for box in ("u", "v")]),
+        ("likelihood", ["n=3"], [{"warning": "empty_typical_set", "n": 3, "delta": 0.025,
+                                  "box": "u"}]),
+        ("zero_rate", ["n=6", "delta=0.15"], []),          # the README command
     ], ids=["zero_rate_n3", "likelihood_n3", "readme"])
-    def test_empty_typical_set_warning(self, tmp_path, capsys, scheme, params, warning):
+    def test_empty_typical_set_warning(self, tmp_path, capsys, scheme, params, warnings):
         inst = tmp_path / "zr.json"
         instances.save_instance(instances.zero_rate_binary_pair(), str(inst))
         out = tmp_path / "sim.csv"
@@ -335,7 +338,7 @@ class TestSimulateAndZeroRate:
         rc = main(argv + [a for p in params for a in ("--param", p)])
         assert rc == 0
         err = capsys.readouterr().err
-        assert stderr_records(err) == ([warning] if warning else [])
+        assert stderr_records(err) == warnings
         header, rows = read_rows(out)
         assert len(rows) == 1 and rows[0][0] == "trials"
 
@@ -414,6 +417,11 @@ class TestSimulateAndZeroRate:
         (rec,) = stderr_records(capsys.readouterr().err)
         assert rec["error"] == "ValueError" and param.split("=")[0] in rec["message"]
 
+    # at n=4 no block pair is within 2 delta = 0.1 of P_UV = (.375, .125, .125,
+    # .375): the timeshare detector never accepts, and its UV box is named
+    EMPTY = {("timeshare", 0.05): [{"warning": "empty_typical_set", "n": 4, "delta": 0.1,
+                                    "box": "uv"}]}
+
     @pytest.mark.parametrize("scheme, instance, delta, warned", [
         # Q_U = (0.8, 0.2) against P_U = (0.5, 0.5); Q_V is within 0.09 of P_V
         ("zero_rate", "zero_rate_binary.json", 0.29, False),
@@ -432,7 +440,8 @@ class TestSimulateAndZeroRate:
                    "--param", "trials=100"])
         assert rc == 0
         warning = {"warning": "vacuous_test", "scheme": scheme, "delta": delta}
-        assert stderr_records(capsys.readouterr().err) == ([warning] if warned else [])
+        assert stderr_records(capsys.readouterr().err) == \
+            self.EMPTY.get((scheme, delta), []) + ([warning] if warned else [])
 
     def test_warning_with_a_non_finite_field_is_an_error(self):
         with pytest.raises(ValueError):
@@ -543,23 +552,32 @@ class TestCounterexampleExperiment:
     @pytest.mark.parametrize("delta, warned", [(0.2, True), (0.05, False)])
     def test_vacuous_test_warning(self, tmp_path, capsys, delta, warned):
         # the timeshare detector accepts within 2 delta of P_UV in every cell,
-        # and every cell of Q_UV lies within 0.125 of P_UV
+        # and every cell of Q_UV lies within 0.125 of P_UV.  At delta = 0.05 no
+        # pair of 2 or 4 letters is within 0.1 of P_UV = (.375, .125, .125,
+        # .375), so alpha_n = 1 and the empty UV box is named at each n
         rc, out = self.run_counterexample(tmp_path, "n_list=2,4", f"delta={delta}")
         assert rc == 0
         warning = {"warning": "vacuous_test", "scheme": "timeshare", "delta": delta}
-        assert stderr_records(capsys.readouterr().err) == ([warning] if warned else [])
+        empty = [{"warning": "empty_typical_set", "n": n, "delta": 0.1, "box": "uv"}
+                 for n in (2, 4)]
+        assert stderr_records(capsys.readouterr().err) == ([warning] if warned else empty)
         _, rows = read_rows(out)
         assert [r[0] for r in rows] == ["2", "4"]
+        assert warned or [r[1] for r in rows] == ["1", "1"]
 
     def test_empty_typical_set_warning(self, tmp_path, capsys):
-        # no block of 3 letters is within 0.01 of P_U; at n=4 one is
+        # no block of 3 letters is within 0.01 of P_U; at n=4 one is, but no
+        # pair of 3 or 4 letters is within 0.02 of P_UV, so alpha_3 = alpha_4 = 1
         rc, out = self.run_counterexample(tmp_path, "n_list=3,4", "delta=0.01")
         assert rc == 0
         err = capsys.readouterr().err
         assert stderr_records(err) == [
-            {"warning": "empty_typical_set", "n": 3, "delta": 0.01}]
+            {"warning": "empty_typical_set", "n": 3, "delta": 0.01, "box": "u"},
+            {"warning": "empty_typical_set", "n": 3, "delta": 0.02, "box": "uv"},
+            {"warning": "empty_typical_set", "n": 4, "delta": 0.02, "box": "uv"}]
         _, rows = read_rows(out)
         assert [r[0] for r in rows] == ["3", "4"]
+        assert [r[1] for r in rows] == ["1", "1"]
 
 
 class TestErrorHandling:

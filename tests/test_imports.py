@@ -76,3 +76,11 @@ def test_channel_rows_are_joined_to_a_law_only_by_channel_attach():
         if info.name != "probcore":
             found = broadcast.findall(source.replace(reference, ""))
             assert not found, f"htpriv.{info.name} broadcasts channel rows: {found}"
+
+
+def test_cli_states_no_delta_relation():
+    # delta' = delta/2, delta_hat = |U| delta and delta_tilde = 2 delta live in
+    # schemes; the CLI reads each scheme's typicality radii from Scheme.boxes
+    source = inspect.getsource(importlib.import_module("htpriv.cli"))
+    named = [name for name in ("delta_prime", "delta_hat", "delta_tilde") if name in source]
+    assert not named, f"htpriv.cli names {named}"

@@ -705,6 +705,24 @@ class TestZeroRate:
         zp = zero_rate_privacy(pair)
         assert zp.lambda1_max == pytest.approx(2 * LN2, abs=1e-12)
 
+    INSTANCES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "instances")
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
+    def test_is_e1_with_a_constant_auxiliary(self, name):
+        # with |W| = 1 the E1 program is the zero-rate program with a unit W
+        # axis: the same solve, field for field and bit for bit
+        pair = instances.load_instance(os.path.join(self.INSTANCES, name))
+        p_uv, q_uv = pair.uv_law(0), pair.uv_law(1)
+        zr = zero_rate_exponent_solution(
+            Pmf(p_uv.sum(axis=1)), Pmf(p_uv.sum(axis=0)),
+            JointPmf((("U", q_uv.shape[0]), ("V", q_uv.shape[1])), q_uv))
+        e1 = exponent_e1_solution(pair, Channel(np.ones((q_uv.shape[0], 1))))
+        for field in ("objective", "stop", "sweeps", "residual", "entropy_slack",
+                      "multiplier", "steps"):
+            assert getattr(zr, field) == getattr(e1, field), field
+        np.testing.assert_array_equal(zr.coupling, e1.coupling[..., 0])
+
     def test_support_violation_gives_infinite_exponent(self):
         # the alternate law cannot produce u = 1 at all, but the null marginal
         # demands mass there: no coupling is absolutely continuous

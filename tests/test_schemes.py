@@ -16,6 +16,7 @@ from htpriv.probcore import (
     empirical_cond_entropy,
     is_typical,
     type_counts,
+    typical_rows,
 )
 from htpriv.regions import HypothesisPair
 from htpriv.schemes import (
@@ -499,6 +500,71 @@ class TestTimeshare:
         uniforms = np.random.default_rng(MASTER_SEED).random(100_000)
         hits = int((sample_codes(law, blocks, uniforms) == 0).sum())
         assert abs(hits / 100_000 - 0.2) < 0.004
+
+
+BOX_PAIRS = {"zero_rate_binary": instances.zero_rate_binary_pair,
+             "counterexample_binary": instances.counterexample_pair}
+
+
+def sent_payload(law, ublocks) -> np.ndarray:
+    """Per u-block, the largest message code it sends with positive
+    probability: 0 (the error message) exactly where it sends no other.  A
+    typicality law sends at most one non-error message, so this is it."""
+    codes, probs = law.pairs(ublocks)
+    return np.where(probs > 0, codes, 0).max(axis=1)
+
+
+class TestDeclaredBoxes:
+    """``Scheme.boxes`` is the one statement of each typicality test: the
+    encoder's u box gates every non-error message, and a typicality detector
+    accepts exactly a kept message whose (u, v) block lies in every box."""
+
+    @pytest.mark.parametrize("instance", list(BOX_PAIRS))
+    @pytest.mark.parametrize("config", [SchemeConfig("zero_rate", delta=0.15),
+                                        SchemeConfig("zero_rate", delta=0.3),
+                                        SchemeConfig("timeshare", delta=0.05, epsilon_star=0.25),
+                                        SchemeConfig("timeshare", delta=0.15)],
+                             ids=["zero_rate_0.15", "zero_rate_0.3", "timeshare_0.05",
+                                  "timeshare_0.15"])
+    def test_accepts_is_kept_message_inside_every_box(self, instance, config):
+        pair = BOX_PAIRS[instance]()
+        nu, nv = pair.uv_law(0).shape
+        for n in range(1, 5):
+            scheme = make_scheme(config, pair, n, seed=0)
+            ub, vb = all_sequences(nu, n), all_sequences(nv, n)
+            iu, iv = np.divmod(np.arange(len(ub) * len(vb)), len(vb))
+            u, v = ub[iu], vb[iv]
+            letters = {"u": u, "v": v, "uv": u * nv + v}
+            inside = np.all([typical_rows(letters[axes], centre, radius)
+                             for axes, centre, radius in scheme.boxes], axis=0)
+            kept = sent_payload(scheme.law, ub)[iu]
+            np.testing.assert_array_equal(scheme.accepts(kept, v), (kept > 0) & inside)
+
+    @pytest.mark.parametrize("instance", list(BOX_PAIRS))
+    @pytest.mark.parametrize("scheme", ["zero_rate", "timeshare", "likelihood"])
+    def test_law_sends_a_message_only_inside_its_u_box(self, instance, scheme):
+        pair = BOX_PAIRS[instance]()
+        nu = pair.uv_law(0).shape[0]
+        for n in range(1, 5):
+            built = make_scheme(SchemeConfig(scheme, delta=0.2), pair, n, seed=n)
+            axes, centre, radius = built.boxes[0]
+            ub = all_sequences(nu, n)
+            assert axes == "u"
+            assert not sent_payload(built.law, ub)[~typical_rows(ub, centre, radius)].any()
+
+    def test_declared_centres_and_radii(self):
+        pair = instances.counterexample_pair()
+        p_uv = pair.uv_law(0)
+        p_u, p_v = p_uv.sum(axis=1), p_uv.sum(axis=0)
+        want = {"zero_rate": [("u", p_u, 0.1), ("v", p_v, 0.1)],
+                "timeshare": [("u", p_u, 0.1), ("uv", p_uv.ravel(), 0.2)],
+                "likelihood": [("u", p_u, 0.05)]}
+        for scheme, boxes in want.items():
+            got = make_scheme(SchemeConfig(scheme, delta=0.1), pair, 4, seed=0).boxes
+            assert [(axes, radius) for axes, _, radius in got] == \
+                [(axes, radius) for axes, _, radius in boxes]
+            for (_, centre, _), (_, p, _) in zip(got, boxes):
+                np.testing.assert_allclose(centre, p, rtol=0, atol=1e-15)
 
 
 class TestRunTrials:
