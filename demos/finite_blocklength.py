@@ -3,8 +3,8 @@
 Builds the likelihood ``Scheme`` (its codebook is drawn for the (U, W) joint
 P_U P_{W|U} and carries it), traces one likelihood-encode / bin / decode /
 detect round trip through it, then runs seeded Monte
-Carlo trials of the zero-rate scheme and checks them against its exact error
-probabilities and the brute-force oracle.
+Carlo trials of the zero-rate scheme and checks them against the exact error
+probabilities and the brute-force oracle of the scheme the trials returned.
 
 Run:  python demos/finite_blocklength.py
 """
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from htpriv import instances
-from htpriv.adversary import exact_errors, scheme_model_for
+from htpriv.adversary import exact_errors, law_model
 from htpriv.oracle import exact_error_probabilities
 from htpriv.probcore import Channel, Pmf
 from htpriv.regions import zero_rate_exponent
@@ -75,7 +75,7 @@ print(f"\nzero-rate: sent {bit_scheme.law.label(bit)!r}; "
 cfg = SchemeConfig(scheme="zero_rate", delta=0.15)
 n = 6
 stats = run_trials(cfg, zr, n, trials=100_000, seed=5)
-alpha, beta = exact_errors(make_scheme(cfg, zr, n, seed=5), zr)
+alpha, beta = exact_errors(stats.scheme, zr)   # the scheme the trials ran
 
 
 def accepts(label, vblock):
@@ -85,7 +85,7 @@ def accepts(label, vblock):
     return bool(np.abs(freq - p_v0.probs).max() <= cfg.delta + 1e-15)
 
 
-oracle = exact_error_probabilities(scheme_model_for(cfg, zr, n, seed=5), accepts, zr, n)
+oracle = exact_error_probabilities(law_model(stats.scheme.law), accepts, zr, n)
 print(f"\nn={n}, 1e5 trials (brute-force oracle agrees to "
       f"{max(abs(alpha - oracle[0]), abs(beta - oracle[1])):.1e}):")
 print(f"alpha: exact {alpha:.5f}  estimate {stats.alpha_hat:.5f}  "

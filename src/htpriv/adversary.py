@@ -21,7 +21,7 @@ step), after checking that the whole table fits the one budget
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,6 +134,7 @@ class CounterexamplePoint:
     equivocation_per_letter: float            # nats, under the null
     weak_converse_level: float                # H_P(S|U,V), nats
     no_message_level: float                   # H_P(S|V), nats
+    scheme: Scheme = field(repr=False, compare=False)   # the one evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +473,7 @@ def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
 
     Requires an instance that meets ``counterexample_levels``'s assumption.
     For each n, reports the exact type I and type II errors and the exact
-    per-letter equivocation under the null.
+    per-letter equivocation under the null, with the scheme they came from.
     """
     h_suv, h_sv, holds = counterexample_levels(pair)
     if not holds:
@@ -488,6 +489,6 @@ def counterexample_curve(pair: HypothesisPair, epsilon_star: float,
         eq = exact_equivocation(model, pair, n, 0) / n
         out.append(CounterexamplePoint(
             n=n, alpha_exact=alpha, beta_exact=beta, equivocation_per_letter=eq,
-            weak_converse_level=h_suv, no_message_level=h_sv,
+            weak_converse_level=h_suv, no_message_level=h_sv, scheme=scheme,
         ))
     return out

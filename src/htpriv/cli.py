@@ -17,13 +17,13 @@ file, and ``--instance`` missing or given to an experiment that reads none;
 the error names the key, file or field.  A failed run leaves the file at
 ``--out`` as it was: the CSV is written to a temp file beside it and moved
 into place only when complete.  Degenerate regimes print one strict JSON
-warning line on stderr each: a typicality box (read from ``Scheme.boxes``) of
-a simulated or counterexample scheme that holds no block at some n, a
-typicality detector whose boxes all hold the alternate law, a likelihood
-scheme whose rate is high enough that its codebook is not binned, a privacy
-estimate that fell back to the biased importance-sampling branch, or a
-zero-rate exponent that is +inf only because the coupling solver ran out of
-sweeps.
+warning line on stderr each: a typicality box (``Scheme.boxes``) that holds
+no block at some n, a typicality detector whose boxes all hold the alternate
+law, or a likelihood codebook left unbinned by a high rate, each read off the
+scheme that a ``simulate`` or ``counterexample`` result carries (built once,
+in ``run_trials`` or ``counterexample_curve``); a privacy estimate that fell
+back to the biased importance-sampling branch; or a zero-rate exponent that
+is +inf only because the coupling solver ran out of sweeps.
 """
 
 from __future__ import annotations
@@ -267,12 +267,12 @@ def _run_simulate(pair, params, seed):
     if cfg.w_channel is not None and cfg.w_channel.input_size != pair.u_size():
         raise ExperimentError(f"w_channel needs {pair.u_size()} rows, one per letter of U; "
                               f"got {cfg.w_channel.input_size} rows")
-    built = schemes.make_scheme(cfg, pair, n, seed)
+    stats = schemes.run_trials(cfg, pair, n, trials, seed)
+    built = stats.scheme
     _warn_typicality([built], pair, scheme, cfg.delta)
     # with identity binning the message names the codeword: no bin is decoded
     if built.codebook is not None and built.codebook.identity_binning:
         _warn("inactive_binning", n=n, codewords=built.codebook.size, rate_nats=cfg.rate_nats)
-    stats = schemes.run_trials(cfg, pair, n, trials, seed)
     rows = [(
         "trials", scheme, n, trials, seed, stats.type1_errors,
         stats.type2_errors,
@@ -308,9 +308,7 @@ def _run_counterexample(pair, params, seed):
     eps, delta = params.get("epsilon_star", 0.25), params.get("delta", 0.1)
     n_list = params.get("n_list", (2, 4, 6))
     points = adversary.counterexample_curve(pair, eps, n_list, delta=delta)
-    cfg = schemes.SchemeConfig("timeshare", delta=delta, epsilon_star=eps)
-    _warn_typicality([schemes.make_scheme(cfg, pair, n, 0) for n in n_list], pair,
-                     "timeshare", delta)
+    _warn_typicality([pt.scheme for pt in points], pair, "timeshare", delta)
     rows = [
         (pt.n, pt.alpha_exact, nats_to_bits(pt.equivocation_per_letter),
          nats_to_bits(pt.weak_converse_level), nats_to_bits(pt.no_message_level))

@@ -160,13 +160,11 @@ def grid_min_kl(reference, constraints, entropy_floor=None,
         )
     axes = [np.linspace(lo[i], hi[i], steps + 1) for i in range(d)]
     refv = ref.ravel()
-    chunk = 200_000
-    combos = itertools.product(*axes)
-    while True:
-        batch = list(itertools.islice(combos, chunk))
-        if not batch:
-            break
-        theta = np.asarray(batch)
+    chunk, total = 200_000, (steps + 1) ** d
+    # grid points in itertools.product order, one chunk of flat indices at a time
+    for start in range(0, total, chunk):
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), (steps + 1,) * d)
+        theta = np.stack([axis[i] for axis, i in zip(axes, idx)], axis=1)
         x = x0[None, :] + theta @ null.T
         keep = (x >= -1e-12).all(axis=1)
         if not keep.any():

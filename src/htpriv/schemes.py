@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -457,10 +457,12 @@ class TrialStats:
     beta_hat: float
     alpha_interval: tuple[float, float]
     beta_interval: tuple[float, float]
+    scheme: Scheme = field(repr=False, compare=False)   # the one that ran the trials
 
 
 def wilson_interval(successes: int, trials: int):
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion; its end is exactly
+    0 at no successes and 1 at all, where rounding would exclude the estimate."""
     z = 1.959963984540054   # the standard normal quantile at 0.975
     if trials <= 0:
         raise ValueError("trials must be >= 1")
@@ -468,7 +470,8 @@ def wilson_interval(successes: int, trials: int):
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else max(0.0, center - half),
+            1.0 if successes == trials else min(1.0, center + half))
 
 
 def run_trials(config: SchemeConfig, pair: HypothesisPair, n: int, trials: int,
@@ -511,5 +514,5 @@ def run_trials(config: SchemeConfig, pair: HypothesisPair, n: int, trials: int,
         trials=trials, type1_errors=t1, type2_errors=t2,
         alpha_hat=t1 / trials, beta_hat=t2 / trials,
         alpha_interval=wilson_interval(t1, trials),
-        beta_interval=wilson_interval(t2, trials),
+        beta_interval=wilson_interval(t2, trials), scheme=scheme,
     )

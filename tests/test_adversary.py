@@ -376,6 +376,13 @@ class TestCounterexample:
         margin = 0.1 * eps * (pt.no_message_level - pt.weak_converse_level)
         assert pt.equivocation_per_letter > pt.weak_converse_level + margin
 
+    def test_points_carry_the_scheme_they_evaluated(self):
+        pair = instances.counterexample_pair()
+        ns = (2, 4, 6)
+        for n, pt in zip(ns, counterexample_curve(pair, 0.25, ns, delta=0.2)):
+            assert pt.scheme.law.n == n and "scheme" not in repr(pt)
+            assert exact_errors(pt.scheme, pair) == (pt.alpha_exact, pt.beta_exact)
+
     def test_beta_is_the_exact_type_two_error(self):
         # the curve's beta_n is exact_errors' beta of the same scheme, and the
         # brute-force oracle's

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htpriv import cli, instances, regions, schemes
+from htpriv import adversary, cli, instances, regions, schemes
 from htpriv.cli import PARAM_KEYS, SCHEME_KEYS, main, validate_instance
 from htpriv.probcore import Channel, JointPmf, binary_entropy
 from htpriv.regions import FrontierConfig, HypothesisPair
@@ -578,6 +578,40 @@ class TestCounterexampleExperiment:
         _, rows = read_rows(out)
         assert [r[0] for r in rows] == ["3", "4"]
         assert [r[1] for r in rows] == ["1", "1"]
+
+
+class TestOneBuildPerRun:
+    """simulate and counterexample build each scheme once, in run_trials and
+    counterexample_curve, and read it back from the results."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name, *modules):
+        calls = []
+        wrapped = getattr(modules[0], name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return wrapped(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_likelihood_simulate_draws_one_codebook(self, tmp_path, monkeypatch):
+        built = self.count_calls(monkeypatch, "make_scheme", schemes, adversary)
+        drawn = self.count_calls(monkeypatch, "build_codebook", schemes)
+        rc = main(["run", "--experiment", "simulate", "--instance",
+                   str(ROOT / "instances" / "example1_suv.json"), "--out", str(tmp_path / "s.csv"),
+                   "--param", "scheme=likelihood", "--param", "n=8", "--param", "delta=0.3",
+                   "--param", "trials=200", "--param", "privacy=exact"])
+        assert rc == 0 and len(built) == 1 and len(drawn) == 1
+
+    def test_counterexample_builds_one_scheme_per_n(self, tmp_path, monkeypatch):
+        built = self.count_calls(monkeypatch, "make_scheme", schemes, adversary)
+        rc = main(["run", "--experiment", "counterexample", "--instance",
+                   str(ROOT / "instances" / "counterexample_binary.json"),
+                   "--out", str(tmp_path / "ce.csv"), "--param", "n_list=2,4,6"])
+        assert rc == 0 and [args[2] for args in built] == [2, 4, 6]
 
 
 class TestErrorHandling:

@@ -84,3 +84,12 @@ def test_cli_states_no_delta_relation():
     source = inspect.getsource(importlib.import_module("htpriv.cli"))
     named = [name for name in ("delta_prime", "delta_hat", "delta_tilde") if name in source]
     assert not named, f"htpriv.cli names {named}"
+
+
+def test_cli_builds_no_scheme():
+    # simulate and counterexample read the scheme their results carry
+    # (TrialStats.scheme, CounterexamplePoint.scheme); the timeshare config of
+    # the counterexample is stated once, in adversary.counterexample_curve
+    source = inspect.getsource(importlib.import_module("htpriv.cli"))
+    assert "make_scheme(" not in source
+    assert not re.search(r"SchemeConfig\(\s*(scheme=)?[\"']", source)

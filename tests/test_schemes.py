@@ -643,7 +643,7 @@ def one_shot_trials(config, pair, n, trials, seed) -> TrialStats:
         accepted.append(int(scheme.accepts(codes, flat % nv).sum()))
     t1, t2 = trials - accepted[0], accepted[1]
     return TrialStats(trials, t1, t2, t1 / trials, t2 / trials,
-                      wilson_interval(t1, trials), wilson_interval(t2, trials))
+                      wilson_interval(t1, trials), wilson_interval(t2, trials), scheme)
 
 
 # the typicality runs span several chunks at every chunk size tested (at most
@@ -746,6 +746,25 @@ class TestTimeshareContainment:
         assert betas[1] == pytest.approx(0.7 * betas[0], abs=1e-12)
 
 
+class TestTrialStatsScheme:
+    """run_trials returns the scheme it built, the one make_scheme builds from
+    the same config and seed; it is left out of the repr and of ==."""
+
+    def test_likelihood_codebook_is_the_seeded_one(self):
+        config, pair, n, trials = STREAM_CASES["likelihood"]
+        stats = run_trials(config, pair, n, trials, 7)
+        cb = make_scheme(config, pair, n, 7).codebook
+        assert np.array_equal(stats.scheme.codebook.codewords, cb.codewords)
+        assert np.array_equal(stats.scheme.codebook.bins, cb.bins)
+
+    @pytest.mark.parametrize("scheme", ["zero_rate", "timeshare"])
+    def test_typicality_scheme_has_the_run_blocklength(self, scheme):
+        config, pair, n, _ = STREAM_CASES[scheme]
+        stats = run_trials(config, pair, n, 100, 7)
+        assert stats.scheme.law.n == n and stats.scheme.codebook is None
+        assert "scheme" not in repr(stats)
+
+
 class TestWilson:
     def test_interval_contains_hat(self):
         lo, hi = wilson_interval(37, 1000)
@@ -756,3 +775,13 @@ class TestWilson:
         assert lo == 0.0 and hi > 0
         lo, hi = wilson_interval(50, 50)
         assert hi == 1.0 and lo < 1
+        # rounding gave 2.8e-17 as the lower end at 0 of 7 and 1 - 2^-53 as the
+        # upper end at 10 of 10
+        for t in range(1, 2001):
+            assert wilson_interval(0, t)[0] == 0.0 and wilson_interval(t, t)[1] == 1.0
+
+    def test_interval_holds_its_estimate(self):
+        for t in range(1, 301):
+            for s in range(t + 1):
+                lo, hi = wilson_interval(s, t)
+                assert lo <= s / t <= hi, (s, t)
