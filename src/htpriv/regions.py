@@ -13,7 +13,7 @@ feasibility and the objective independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -629,7 +629,11 @@ def theorem2_point(pair: HypothesisPair, w_channel: Channel, rate: float) -> Tra
 
 def _taci_array(p_suyz: JointPmf) -> np.ndarray:
     """The law laid out as an (S, U, Y, Z) array, whatever the declared axis
-    order; a missing axis raises UnknownAxisError."""
+    order.  A missing axis raises UnknownAxisError and any other axis
+    ValueError, each naming the law's axes: an extra axis would be summed out."""
+    if not set(p_suyz.names) <= {"S", "U", "Y", "Z"}:
+        raise ValueError(f"a conditional-independence law has no axes but S, U, Y and Z; "
+                         f"got {p_suyz.names}")
     return p_suyz.marginal_array(("S", "U", "Y", "Z"))
 
 
@@ -730,32 +734,28 @@ def _structured_channels(nu: int, nw: int) -> list[np.ndarray]:
     return out
 
 
-def pareto_filter(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
-    if not points:
-        return []
-    coords = np.array([(p.rate, p.exponent, p.privacy0) for p in points])
-    n = len(points)
-    keep = np.ones(n, dtype=bool)
+def pareto_filter(coords: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the rows of the (K, 3) array ``coords`` of
+    (rate, exponent, privacy0) that are kept, deciding row by row in order.
+
+    A lower rate, a higher exponent and a higher privacy0 are better, each
+    compared with slack eps = 1e-15.  A row is dropped when another row is
+    worse than it in no coordinate by more than eps and better in one by
+    more than eps.  A row that is not dropped so is still dropped when an
+    earlier kept row lies within eps of it in every coordinate: of such
+    duplicates only the first stays.
+    """
     eps = 1e-15
-    for i in range(n):
-        if not keep[i]:
-            continue
-        r, e, s = coords[i]
-        leq_rate = coords[:, 0] <= r + eps
-        geq_exp = coords[:, 1] >= e - eps
-        geq_priv = coords[:, 2] >= s - eps
-        strict = (coords[:, 0] < r - eps) | (coords[:, 1] > e + eps) | (coords[:, 2] > s + eps)
-        dominating = leq_rate & geq_exp & geq_priv & strict
-        dominating[i] = False
-        if dominating.any():
-            keep[i] = False
-            continue
-        # drop exact duplicates beyond the first occurrence
-        dup = (np.abs(coords[:i, 0] - r) < eps) & (np.abs(coords[:i, 1] - e) < eps) \
-            & (np.abs(coords[:i, 2] - s) < eps)
-        if dup.any():
-            keep[i] = keep[i] and not keep[:i][dup].any()
-    return [p for p, k in zip(points, keep) if k]
+    keep = np.zeros(len(coords), dtype=bool)
+    rate, exponent, privacy0 = coords.T
+    for i, (r, e, s) in enumerate(coords):
+        no_worse = (rate <= r + eps) & (exponent >= e - eps) & (privacy0 >= s - eps)
+        better = (rate < r - eps) | (exponent > e + eps) | (privacy0 > s + eps)
+        if not (no_worse & better).any():
+            dup = ((np.abs(rate[:i] - r) < eps) & (np.abs(exponent[:i] - e) < eps)
+                   & (np.abs(privacy0[:i] - s) < eps))
+            keep[i] = not keep[:i][dup].any()
+    return np.flatnonzero(keep)
 
 
 def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
@@ -768,36 +768,37 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
     |U| = |W| = 2) plus ``config.random_seeds`` random channels, each of
     which hill-climbs a random linear scalarization of (-rate, exponent,
     equivocation) coordinate by coordinate.  So the front is never empty.
-    Every emitted point stores its channel, so it can be reproduced exactly
-    by :func:`taci_point`.
+    A candidate is its channel and its (rate, exponent, privacy0)
+    coordinates from :func:`taci_point`; :func:`pareto_filter` picks the
+    front from those.  Only the front's points are built, each with its
+    channel, so it can be reproduced exactly by :func:`taci_point`, and
+    with ``privacy1`` = H_Q(S|W,Y,Z) of that channel under the alternate
+    law Q of :func:`taci_alternate_law`: W - U - (S, Y, Z) holds under Q
+    too, so this is the level :func:`theorem1_point` gives at the channel.
     """
     cfg = config or FrontierConfig()
     p = _taci_array(p_suyz)
     nu = p.shape[1]
-    q = taci_alternate_law(p_suyz, q_s_given_uyz)
-    lambda_min = cond_entropy_of_array(q.probs, (0,), (1, 2, 3))
+    q = taci_alternate_law(p_suyz, q_s_given_uyz).probs
     w_sizes = tuple(range(1, nu + 3)) if cfg.w_sizes is None else cfg.w_sizes
     rng = np.random.default_rng(cfg.rng_seed)
 
-    def evaluate(rows: np.ndarray) -> TradeoffPoint:
+    def candidate(rows: np.ndarray) -> tuple[Channel, tuple[float, float, float]]:
         chan = Channel(rows)
         tp = _taci_coords(p, chan)
-        return TradeoffPoint(tp.rate_needed, tp.exponent, tp.equivocation0,
-                             lambda_min, "equivocation", channel=chan)
+        return chan, (tp.rate_needed, tp.exponent, tp.equivocation0)
 
-    def scalarized(point: TradeoffPoint, w: np.ndarray) -> float:
-        return -w[0] * point.rate + w[1] * point.exponent + w[2] * point.privacy0
+    def scalarized(coords: tuple[float, float, float], w: np.ndarray) -> float:
+        rate, exponent, privacy0 = coords
+        return -w[0] * rate + w[1] * exponent + w[2] * privacy0
 
-    def improve(rows: np.ndarray, weights: np.ndarray) -> list[TradeoffPoint]:
+    def improve(rows: np.ndarray, weights: np.ndarray) -> list:
         # hill-climb a random scalarization of the three objectives
         nw = rows.shape[1]
-        point = evaluate(rows)
-        out = [point]
+        start = best = candidate(rows)
         if weights.sum() <= 0:
-            return out
-        best, best_rows = point, rows
-        step = _IMPROVE_STEP
-        passes = 0
+            return [start]
+        best_rows, step, passes = rows, _IMPROVE_STEP, 0
         while step >= _IMPROVE_FLOOR and passes < _IMPROVE_MAX_PASSES:
             passes += 1
             improved = False
@@ -810,14 +811,13 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
                         if s <= 0:
                             continue
                         trial[u] /= s
-                        cand = evaluate(trial)
-                        if scalarized(cand, weights) > scalarized(best, weights) + 1e-12:
+                        cand = candidate(trial)
+                        if scalarized(cand[1], weights) > scalarized(best[1], weights) + 1e-12:
                             best, best_rows = cand, trial
                             improved = True
             if not improved:
                 step *= _IMPROVE_SHRINK
-        out.append(best)
-        return out
+        return [start, best]
 
     # structured seeds first, then hill climbs in draw order: this fixes the channel ids
     structured: list[np.ndarray] = []
@@ -829,12 +829,14 @@ def taci_frontier(p_suyz: JointPmf, q_s_given_uyz: np.ndarray,
             rows /= rows.sum(axis=1, keepdims=True)
             random_jobs.append((rows, rng.random(3)))
 
-    candidates: list[TradeoffPoint] = [evaluate(rows) for rows in structured]
+    candidates = [candidate(rows) for rows in structured]
     for job in random_jobs:
         candidates.extend(improve(*job))
 
-    front = pareto_filter(candidates)
-    return [replace(p, channel_id=f"ch{idx:04d}") for idx, p in enumerate(front)]
+    front = [candidates[i] for i in pareto_filter(np.array([c for _, c in candidates]))]
+    return [TradeoffPoint(*coords, cond_entropy_of_array(chan.attach(q, 1), (0,), (2, 3, 4)),
+                          "equivocation", channel=chan, channel_id=f"ch{idx:04d}")
+            for idx, (chan, coords) in enumerate(front)]
 
 
 # ---------------------------------------------------------------------------

@@ -913,7 +913,7 @@ class TestReadmeCsvs:
     # example runs with random_seeds=10 here (the full search takes about 11 s).
     SHA256 = {
         "example1": "a6631a915dbdc9be7f47ca9641063183a678e3db927fe95e2b3607e99f65d31e",
-        "frontier": "af307171edefc133a2db6fa6103442e323ba942b123376132aa4b9ac03740b60",
+        "frontier": "b4f2ec160208e463a1c2c90d2595a556bd98c7f924e2593684d0fbcc43d26bbf",
         "simulate": "050a8bba5b7f528bf274a8033e47ec14391cf7612b014bfb2116d34d53501e81",
         "counterexample": "35f4fd4b8c9d7320ee296c709a1a0ba4f226c329c5a5e08238d16e610489290a",
     }

@@ -504,6 +504,21 @@ class TestTaciPoint:
         with pytest.raises(UnknownAxisError, match="'Z'"):
             taci_point(p, Channel(np.eye(4)))
 
+    @pytest.mark.parametrize("call", ["taci_point", "taci_alternate_law", "taci_frontier"])
+    def test_extra_axis_is_value_error(self, call):
+        # an (S, U, Y, Z, X) law would have X summed out of the region silently
+        p = random_taci_joint(np.random.default_rng(MASTER_SEED + 76), nu=2)
+        law = JointPmf(p.axes + (("X", 2),), np.stack([0.3 * p.probs, 0.7 * p.probs], axis=-1))
+        q_cond = np.full((2, 3, 2, 2), 0.5)
+        calls = {
+            "taci_point": lambda: taci_point(law, Channel(np.eye(2))),
+            "taci_alternate_law": lambda: taci_alternate_law(law, q_cond),
+            "taci_frontier": lambda: taci_frontier(
+                law, q_cond, FrontierConfig(random_seeds=0, w_sizes=(1,))),
+        }
+        with pytest.raises(ValueError, match=re.escape(repr(law.names))):
+            calls[call]()
+
     def test_positional_coordinates_are_taci_point_bit_for_bit(self):
         rng = np.random.default_rng(MASTER_SEED + 74)
         root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -584,17 +599,41 @@ class TestTaciFrontier:
         cfg = FrontierConfig(random_seeds=60, rng_seed=MASTER_SEED, w_sizes=(2,))
         pts = taci_frontier(joint, q_cond, cfg)
         # no exhaustively-gridded |W|=2 channel may dominate a frontier point
+        front = np.array([(p.rate, p.exponent, p.privacy0) for p in pts])
         grid = np.arange(0.0, 1.0001, 0.02)
         for a in grid:
             for b in grid:
                 tp = taci_point(joint, Channel(np.array([[1 - a, a], [b, 1 - b]])))
-                for p in pts:
-                    strictly_better = (
-                        tp.rate_needed < p.rate - 1e-6
-                        and tp.exponent > p.exponent + 1e-6
-                        and tp.equivocation0 > p.privacy0 + 1e-6
-                    )
-                    assert not strictly_better
+                strictly_better = ((tp.rate_needed < front[:, 0] - 1e-6)
+                                   & (tp.exponent > front[:, 1] + 1e-6)
+                                   & (tp.equivocation0 > front[:, 2] + 1e-6))
+                assert not strictly_better.any(), (a, b)
+
+    @pytest.mark.parametrize("law", ["example1_taci", "random_z2"])
+    def test_alternate_level_is_the_theorem_level_of_each_channel(self, law):
+        # privacy1 is H_Q(S|W,Y,Z) of the point's own channel: W - U - (S,Y,Z)
+        # holds under Q too, and Q_U = P_U, so it is theorem 1's level at that
+        # channel, between H_Q(S|U,Y,Z) and H_Q(S|Y,Z)
+        if law == "example1_taci":
+            shipped = instances.load_instance(os.path.join(TestZeroRate.INSTANCES,
+                                                           "example1_taci.json"))
+            p, q_cond = shipped.p, instances.conditional_s_given_rest(shipped.q)
+        else:
+            rng = np.random.default_rng(MASTER_SEED + 75)
+            p = random_taci_joint(rng, ns=2, nu=3, ny=2, nz=2)
+            q_cond = rng.gamma(1.0, 1.0, (3, 2, 2, 2))
+            q_cond /= q_cond.sum(-1, keepdims=True)
+        q = taci_alternate_law(p, q_cond)
+        pair = HypothesisPair(p, q)
+        lo = conditional_entropy(q, "S", ("U", "Y", "Z"))
+        hi = conditional_entropy(q, "S", ("Y", "Z"))
+        cfg = FrontierConfig(random_seeds=2, rng_seed=MASTER_SEED, w_sizes=(1, 2, 3))
+        pts = taci_frontier(p, q_cond, cfg)
+        assert pts
+        for pt in pts:
+            want = theorem1_point(pair, pt.channel, pt.rate).privacy1
+            assert abs(pt.privacy1 - want) <= 1e-12, pt.channel_id
+            assert lo - 1e-12 <= pt.privacy1 <= hi + 1e-12, pt.channel_id
 
     def test_no_sizes_is_value_error(self):
         # None asks for the default sizes; an empty tuple asks for no search
@@ -1206,7 +1245,7 @@ class TestTaciDigest:
     seeded random (2, 3, 2, 2) laws, and the bytes of the example2 CSV.  Any
     change that moves a bit of them fails here."""
 
-    SHA256 = "af8c513f00e4f019396d03f376eeabed3a48098af897e820ca43b55c7ec632f0"
+    SHA256 = "32bdc1b819726f58c9bc6dab1261502d210a89442383091aef793b927e9410fd"
 
     @staticmethod
     def laws():
